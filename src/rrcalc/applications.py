@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import chern_from_character, todd_class
-from .rings import RATIONALS, RingElement, SpecMismatch, eval_series
+from .rings import RingElement, SpecMismatch, eval_series
 from .series import exp_deficit_series
 from .theories import (
     CHOW,
@@ -28,7 +28,6 @@ from .theories import (
     Morphism,
     TheoryModel,
     k_line_class,
-    morphism_in,
     point_projection,
     pushforward,
     ring_of,
@@ -102,16 +101,12 @@ def verify_grr(n: int, f: Morphism, a: RingElement) -> RingElement:
     """
     if sum(f.source) != n:
         raise SpecMismatch(f"source of {f.kind} has dimension {sum(f.source)}, not {n}")
-    k_model = (
-        K_THEORY
-        if a.spec.scalars != RATIONALS
-        else TheoryModel("ktheory", RATIONALS)
-    )
-    direct = universal_morphism(pushforward(k_model, f, a))
-    additive_f = morphism_in(CHOW_Q, f)
+    direct = universal_morphism(pushforward(TheoryModel(1, a.spec.scalars), f, a))
     source_density = todd_class(space_tangent(CHOW_Q, f.source)) * universal_morphism(a)
     target_todd = todd_class(space_tangent(CHOW_Q, f.target))
-    corrected = target_todd.inverse() * pushforward(CHOW_Q, additive_f, source_density)
+    # The untwisted additive pushforward reads only the shape of f, so the
+    # K-theory descriptor serves both sides.
+    corrected = target_todd.inverse() * pushforward(CHOW_Q, f, source_density)
     return direct - corrected
 
 

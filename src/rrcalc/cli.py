@@ -214,6 +214,8 @@ def _cmd_verify_grr(args) -> CommandResult:
 
 def _cmd_verify_twist_law(args) -> CommandResult:
     order = args.order
+    if order < 1:
+        raise ValueError("--order must be >= 1 for a group law to check")
     twisted = twist_theory(CHOW, exp_deficit_series(2 * order + 2))
     law = twisted.group_law(order)
     spec = RingSpec(("u", "v"), (order, order), RATIONALS)
@@ -383,6 +385,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsed attributes that select or format a command rather than feed it.
+_NOT_INPUTS = ("command", "target", "format", "handler")
+
+
 def run(argv) -> int:
     parser = _build_parser()
     try:
@@ -392,9 +398,14 @@ def run(argv) -> int:
     try:
         result = args.handler(args)
     except (GRRMismatch, NonIntegerChi, SolverInconsistent) as failure:
-        result = CommandResult(
-            args.command, {}, {"error": str(failure)}, False
-        )
+        # Rebuild what the handler would have reported: full subcommand, inputs.
+        command = " ".join(filter(None, (args.command, getattr(args, "target", None))))
+        inputs = {
+            key: value
+            for key, value in vars(args).items()
+            if key not in _NOT_INPUTS and value is not None
+        }
+        result = CommandResult(command, inputs, {"error": str(failure)}, False)
     except ValueError as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2

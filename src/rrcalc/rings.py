@@ -190,12 +190,16 @@ class RingElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = self.spec.scalar(other)
+            # Compare without coercing: 1/2 is simply unequal to an integer class.
+            constant = (0,) * len(self.spec.variables)
+            return self.terms == ({constant: other} if other else {})
         if not isinstance(other, RingElement):
             return NotImplemented
         return self.spec == other.spec and self.terms == other.terms
 
     def __hash__(self):
+        if self == self.constant_term:  # equal to a scalar, so hash like it
+            return hash(self.constant_term)
         return hash((self.spec, frozenset(self.terms.items())))
 
     def __add__(self, other):

@@ -1,10 +1,10 @@
 """Cohomology models on products of projective spaces.
 
-Two concrete theories are modeled on X = P^d1 x ... x P^dk:
+Both theories on X = P^d1 x ... x P^dk carry the law x + y - beta*xy:
 
-* the additive model ("chow"): Z[h1..hk]/(h_i^(d_i+1)), h_i the
-  hyperplane class of factor i, group law x + y;
-* the multiplicative model ("ktheory"): generators t_i = 1 - [O(-1)],
+* beta = 0, the additive model ("chow"): Z[h1..hk]/(h_i^(d_i+1)), h_i
+  the hyperplane class of factor i, group law x + y;
+* beta = 1, the multiplicative model ("ktheory"): t_i = 1 - [O(-1)],
   the K-fundamental class of a hyperplane, group law x + y - xy.
 
 Pullbacks substitute generators, pushforwards are monomial tables along
@@ -60,58 +60,51 @@ def _names(base: str, count: int) -> tuple[str, ...]:
     return tuple(f"{base}{i + 1}" for i in range(count))
 
 
+# Indexed by beta: the theory's name in reprs and its generator symbol.
+_LABELS = (("chow", "h"), ("ktheory", "t"))
+
+
 @dataclass(frozen=True)
 class TheoryModel:
-    """A cohomology theory: name, scalar domain, and (if twisted) its data."""
+    """Connective K-theory law x + y - beta*x*y at beta 0 or 1, maybe twisted."""
 
-    name: str
+    beta: int
     scalars: str
-    base: "TheoryModel | None" = None
     twist: TruncatedSeries | None = None
 
     def __post_init__(self):
-        if self.name not in ("chow", "ktheory", "twisted"):
-            raise ValueError(f"unknown theory {self.name!r}")
-        if self.name == "twisted":
-            if self.base is None or self.twist is None:
-                raise ValueError("a twisted theory needs a base and a series")
-            if self.scalars != RATIONALS:
-                raise ValueError("twisted theories carry rational scalars")
-        elif self.base is not None or self.twist is not None:
-            raise ValueError(f"{self.name} takes no twisting data")
+        if self.beta not in (0, 1):
+            raise ValueError(f"beta must be 0 or 1, not {self.beta!r}")
+        if self.twist is not None and self.scalars != RATIONALS:
+            raise ValueError("twisted theories carry rational scalars")
 
     def __repr__(self) -> str:
-        if self.name == "twisted":
-            return f"<twisted {self.base.name} by order-{self.twist.order} series>"
-        return f"<{self.name} over {self.scalars}>"
+        name = _LABELS[self.beta][0]
+        if self.twist is not None:
+            return f"<twisted {name} by order-{self.twist.order} series>"
+        return f"<{name} over {self.scalars}>"
 
     @property
     def generator_symbol(self) -> str:
-        if self.name == "chow":
-            return "h"
-        if self.name == "ktheory":
-            return "t"
-        return self.base.generator_symbol
+        return _LABELS[self.beta][1]
 
     def law(self, a: RingElement, b: RingElement) -> RingElement:
         """The group law on first Chern classes: c1 of a tensor product.
 
         Arguments must be nilpotent classes in one ring.  The twisted law
-        is the base law conjugated by e(x) = x*F(x); its reversion limits
-        how deep a truncation the stored series can serve, and running
-        past that raises InsufficientOrder.
+        is the untwisted one conjugated by e(x) = x*F(x); its reversion
+        limits how deep a truncation the stored series can serve, and
+        running past that raises InsufficientOrder.
         """
         if a.spec != b.spec:
             raise SpecMismatch("group law arguments must share a ring")
-        if self.name == "chow":
-            return a + b
-        if self.name == "ktheory":
-            return a + b - a * b
+        if self.twist is None:
+            return a + b - a * b if self.beta else a + b
         conjugator = self.twist.times_t()
         inverse = conjugator.reversion()
         x = eval_series(inverse, a)
         y = eval_series(inverse, b)
-        return eval_series(conjugator, self.base.law(x, y))
+        return eval_series(conjugator, TheoryModel(self.beta, RATIONALS).law(x, y))
 
     def group_law(self, order: int) -> RingElement:
         """G(u, v) as an element of scalars[u, v]/(u^(order+1), v^(order+1))."""
@@ -119,9 +112,9 @@ class TheoryModel:
         return self.law(spec.generator(0), spec.generator(1))
 
 
-CHOW = TheoryModel("chow", INTEGERS)
-CHOW_Q = TheoryModel("chow", RATIONALS)
-K_THEORY = TheoryModel("ktheory", INTEGERS)
+CHOW = TheoryModel(0, INTEGERS)
+CHOW_Q = TheoryModel(0, RATIONALS)
+K_THEORY = TheoryModel(1, INTEGERS)
 
 
 def twist_theory(base: TheoryModel, series: TruncatedSeries) -> TheoryModel:
@@ -132,9 +125,9 @@ def twist_theory(base: TheoryModel, series: TruncatedSeries) -> TheoryModel:
     """
     if series[0] == 0:
         raise NonUnitConstant("a twisting series needs an invertible constant term")
-    if base.name == "twisted":
-        return TheoryModel("twisted", RATIONALS, base.base, base.twist * series)
-    return TheoryModel("twisted", RATIONALS, base, series)
+    if base.twist is not None:
+        series = base.twist * series
+    return TheoryModel(base.beta, RATIONALS, series)
 
 
 def ring_of(theory: TheoryModel, dims) -> RingSpec:
@@ -232,21 +225,6 @@ def linear_immersion(
     return Morphism("linear_immersion", source, target, factor, tangent)
 
 
-def morphism_in(theory: TheoryModel, f: Morphism) -> Morphism:
-    """The same geometric map, described for another theory."""
-    if f.kind == "point_projection":
-        return point_projection(theory, f.source[0])
-    if f.kind == "factor_projection":
-        return factor_projection(theory, f.source, f.factor)
-    return linear_immersion(
-        theory,
-        f.source[f.factor],
-        f.target[f.factor],
-        within=f.source,
-        factor=f.factor,
-    )
-
-
 def pullback(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement:
     """f^*: substitution on generators, from the target ring to the source."""
     if a.spec != ring_of(theory, f.target):
@@ -269,16 +247,14 @@ def pushforward(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement
     """f_*: the theory's direct image, a monomial table on the acted factor.
 
     * linear immersion P^m in P^n: x^r |-> x^(r + n - m);
-    * projections, additive model: top power of the collapsed generator
-      maps to 1, lower powers to 0;
-    * projections, multiplicative model: every power maps to 1;
-    * twisted theory: base pushforward of F_x(T_f)^(-1) * a.
+    * projections: x^r |-> beta^(top - r) on the collapsed generator;
+    * twisted theory: untwisted pushforward of F_x(T_f)^(-1) * a.
     """
     if a.spec != ring_of(theory, f.source):
         raise SpecMismatch(f"{a.spec} is not the source ring of {f.kind}")
-    if theory.name == "twisted":
+    if theory.twist is not None:
         correction = multiplicative_extension(theory.twist, f.virtual_tangent)
-        carrier = TheoryModel(theory.base.name, RATIONALS)
+        carrier = TheoryModel(theory.beta, RATIONALS)
         return pushforward(carrier, f, correction.inverse() * a)
     target_spec = ring_of(theory, f.target)
     table: dict[tuple[int, ...], Scalar] = {}
@@ -290,12 +266,10 @@ def pushforward(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement
         return target_spec.element(table)
     top = f.source[j]
     for exps, c in a.terms.items():
-        if theory.name == "chow" and exps[j] != top:
-            continue
-        rest = exps[:j] + exps[j + 1 :]
-        previous = table.get(rest, 0)
-        total = previous + c
-        table[rest] = total
+        weight = theory.beta ** (top - exps[j])
+        if weight:
+            rest = exps[:j] + exps[j + 1 :]
+            table[rest] = table.get(rest, 0) + weight * c
     return target_spec.element(table)
 
 

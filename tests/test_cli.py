@@ -163,6 +163,30 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
     assert "disagree" in out
 
 
+def test_failure_keeps_the_subcommand_and_inputs(capsys):
+    code, out, _ = invoke(capsys, "chi", "surface", "--k2", "1", "--chitop", "0")
+    assert code == 1
+    assert out == (
+        "command: chi surface\n"
+        "input c1k = 0\n"
+        "input c1sq = 0\n"
+        "input c2 = 0\n"
+        "input chitop = 0\n"
+        "input k2 = 1\n"
+        "input rank = 1\n"
+        "output error = chi of the surface bundle = 1/12 is not an integer\n"
+        "pass: no\n"
+    )
+
+
+def test_twist_law_below_order_one_is_a_usage_error(capsys):
+    for order in ("0", "-3"):
+        code, out, err = invoke(capsys, "verify", "twist-law", "--order", order)
+        assert code == 2
+        assert out == ""
+        assert "--order must be >= 1" in err
+
+
 def test_suite_reports_one_line_per_criterion(capsys, monkeypatch):
     fake = [
         CriterionResult(1, "series-constants", True, "all frozen values match", 0.0),

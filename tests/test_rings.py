@@ -131,6 +131,23 @@ def test_scalar_comparison_and_hash():
     assert hash(spec.one()) == hash(spec.element({(0,): 1}))
 
 
+def test_scalar_equality_never_raises():
+    spec = RingSpec(("h",), (1,))
+    assert (spec.one() == Fraction(1, 2)) is False
+    assert spec.zero() != Fraction(1, 3)
+    assert spec.generator(0) != 1
+    assert spec.scalar(2) == Fraction(4, 2)
+    assert spec.rationalized().scalar(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_scalar_elements_hash_like_their_scalars():
+    spec = RingSpec(("h",), (1,))
+    assert hash(spec.one()) == hash(1)
+    assert hash(spec.zero()) == hash(0)
+    assert hash(spec.rationalized().scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert len({spec.one(), 1}) == 1
+
+
 def test_graded_component_and_coefficients():
     spec = RingSpec(("x", "y"), (2, 2))
     x, y = spec.generators()

@@ -21,7 +21,6 @@ from rrcalc import (
     k_line_class,
     linear_immersion,
     metric_check,
-    morphism_in,
     point_projection,
     pullback,
     pushforward,
@@ -103,20 +102,20 @@ def test_retwist_multiplies_the_series():
     other = TruncatedSeries([1, Fraction(1, 3)], 8)
     tw = twist_theory(twist_theory(CHOW_Q, first), other)
     assert tw.twist == first * other
-    assert tw.base is CHOW_Q
+    assert (tw.beta, tw.scalars) == (CHOW_Q.beta, CHOW_Q.scalars)
 
 
 def test_theory_validation():
     from rrcalc.theories import TheoryModel
 
     with pytest.raises(ValueError):
-        TheoryModel("motivic", INTEGERS)
+        TheoryModel(2, INTEGERS)
     with pytest.raises(ValueError):
-        TheoryModel("twisted", RATIONALS)  # missing base and series
+        TheoryModel(-1, RATIONALS)
     with pytest.raises(ValueError):
-        TheoryModel("chow", INTEGERS, twist=exp_deficit_series(4))
+        TheoryModel(0, INTEGERS, exp_deficit_series(4))
     with pytest.raises(ValueError):
-        TheoryModel("twisted", INTEGERS, CHOW_Q, exp_deficit_series(4))
+        TheoryModel(1, INTEGERS, exp_deficit_series(4))
 
 
 def test_repr_and_generator_symbol():
@@ -291,26 +290,6 @@ def test_pushforward_and_pullback_reject_wrong_rings():
         pullback(CHOW, f, wrong)
 
 
-def test_morphism_in_rebuilds_for_another_theory():
-    f = linear_immersion(CHOW, 2, 4)
-    g = morphism_in(K_THEORY, f)
-    assert (g.kind, g.source, g.target, g.factor) == (
-        f.kind,
-        f.source,
-        f.target,
-        f.factor,
-    )
-    assert g.virtual_tangent.total_chern.spec == ring_of(K_THEORY, (2,))
-
-    p = morphism_in(CHOW_Q, point_projection(CHOW, 3))
-    assert p.kind == "point_projection"
-    assert p.virtual_tangent.total_chern.spec.scalars == RATIONALS
-
-    q = morphism_in(CHOW, factor_projection(K_THEORY, (1, 2), 1))
-    assert q.kind == "factor_projection"
-    assert q.target == (1,)
-
-
 def test_immersion_on_a_product_factor():
     f = linear_immersion(K_THEORY, 1, 3, within=(1, 1), factor=1)
     spec = ring_of(K_THEORY, (1, 1))
@@ -446,6 +425,43 @@ def test_diagonal_restricts_to_the_point_class():
 def test_point_space_diagonal():
     assert diagonal_class(CHOW, 0) == ring_of(CHOW, (0, 0)).one()
     assert diagonal_class(K_THEORY, 0) == ring_of(K_THEORY, (0, 0)).one()
+
+
+# ---------------------------------------------------------------- closed forms in beta
+# Independent of the level-by-level solver: both models are the law
+# x + y - beta*x*y, and these are its closed forms up to n = 8.
+
+BY_BETA = pytest.mark.parametrize(
+    "theory,beta", [(CHOW, 0), (K_THEORY, 1)], ids=["chow", "ktheory"]
+)
+
+
+@BY_BETA
+def test_point_pushforward_is_a_power_of_beta(theory, beta):
+    for n in range(9):
+        p = point_projection(theory, n)
+        x = ring_of(theory, (n,)).generator(0)
+        point = ring_of(theory, ())
+        for r in range(n + 1):
+            assert pushforward(theory, p, x**r) == point.scalar(beta ** (n - r))
+
+
+@BY_BETA
+def test_diagonal_matches_the_closed_form(theory, beta):
+    # sum_{r+s=n} x^r y^s - beta * sum_{r+s=n+1} x^r y^s
+    for n in range(9):
+        expected = {(r, n - r): 1 for r in range(n + 1)}
+        if beta:
+            expected.update({(r, n + 1 - r): -beta for r in range(1, n + 1)})
+        assert dict(diagonal_class(theory, n).terms) == expected
+
+
+@BY_BETA
+def test_metric_determinant_closed_form(theory, beta):
+    for n in range(9):
+        report = metric_check(theory, n)
+        assert report.determinant == (-1) ** (n * (n + 1) // 2)
+        assert report.unit
 
 
 # ---------------------------------------------------------------- duality metric
