@@ -167,18 +167,23 @@ class TruncatedSeries:
         return result
 
     def reversion(self) -> "TruncatedSeries":
-        """Compositional inverse g with self(g(t)) = g(self(t)) = t."""
+        """Compositional inverse g with self(g(t)) = g(self(t)) = t.
+
+        Lagrange inversion, [t^k] g = (1/k) * [t^(k-1)] (t/self)^k: one
+        series inverse of self/t, then a running product of it that
+        yields one coefficient per order.  At order n that is n - 1
+        series products of order n - 1, O(n^3) coefficient operations.
+        """
         if self.coefficients[0] != 0:
             raise NotReversible("reversion needs zero constant term")
         if self.order < 1 or self.coefficients[1] == 0:
             raise NotReversible("reversion needs an invertible linear coefficient")
-        c1 = self.coefficients[1]
-        out = [Fraction(0), 1 / c1]
-        # Successive substitution: choose g_k so that [t^k] self(g) vanishes.
+        quotient = TruncatedSeries(self.coefficients[1:]).inverse()  # t/self
+        power = quotient
+        out = [Fraction(0), power.coefficients[0]]
         for k in range(2, self.order + 1):
-            partial = TruncatedSeries(out, k)
-            h = self.truncated(k).compose(partial)
-            out.append(-h.coefficients[k] / c1)
+            power = power * quotient
+            out.append(power.coefficients[k - 1] / k)
         return TruncatedSeries(out)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .bundles import BundleClass, multiplicative_extension
 from .rings import (
@@ -92,19 +93,26 @@ class TheoryModel:
         """The group law on first Chern classes: c1 of a tensor product.
 
         Arguments must be nilpotent classes in one ring.  The twisted law
-        is the untwisted one conjugated by e(x) = x*F(x); its reversion
-        limits how deep a truncation the stored series can serve, and
-        running past that raises InsufficientOrder.
+        is the untwisted one conjugated by e(x) = x*F(x); e and its
+        reversion are computed once per theory, on the first call.  Their
+        order limits how deep a truncation the stored series can serve,
+        and running past that raises InsufficientOrder.
         """
         if a.spec != b.spec:
             raise SpecMismatch("group law arguments must share a ring")
         if self.twist is None:
             return a + b - a * b if self.beta else a + b
-        conjugator = self.twist.times_t()
-        inverse = conjugator.reversion()
+        conjugator, inverse = self._conjugation
         x = eval_series(inverse, a)
         y = eval_series(inverse, b)
         return eval_series(conjugator, TheoryModel(self.beta, RATIONALS).law(x, y))
+
+    @cached_property
+    def _conjugation(self) -> tuple[TruncatedSeries, TruncatedSeries]:
+        # cached_property writes the instance __dict__ directly, so it works
+        # on the frozen dataclass and stays out of ==, hash and repr.
+        conjugator = self.twist.times_t()
+        return conjugator, conjugator.reversion()
 
     def group_law(self, order: int) -> RingElement:
         """G(u, v) as an element of scalars[u, v]/(u^(order+1), v^(order+1))."""

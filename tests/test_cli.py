@@ -7,6 +7,13 @@ import pytest
 from rrcalc import cli
 from rrcalc.acceptance import CriterionResult
 from rrcalc.applications import GRRMismatch
+from rrcalc.rings import (
+    InsufficientOrder,
+    NonNilpotentArgument,
+    OutOfBounds,
+    SpecMismatch,
+)
+from rrcalc.series import NotReversible
 
 
 def invoke(capsys, *argv):
@@ -185,6 +192,34 @@ def test_twist_law_below_order_one_is_a_usage_error(capsys):
         assert code == 2
         assert out == ""
         assert "--order must be >= 1" in err
+
+
+def test_twist_law_above_its_bound_is_a_usage_error(capsys):
+    bound = cli.MAX_TWIST_LAW_ORDER
+    code, out, err = invoke(capsys, "verify", "twist-law", "--order", str(bound + 1))
+    assert code == 2
+    assert out == ""
+    assert f"--order must be <= {bound}" in err
+    code, out, _ = invoke(capsys, "verify", "twist-law", "--help")
+    assert code == 0
+    assert f"1..{bound}" in out
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [InsufficientOrder, NonNilpotentArgument, NotReversible, OutOfBounds, SpecMismatch],
+    ids=lambda fault: fault.__name__,
+)
+def test_internal_faults_exit_3(capsys, monkeypatch, fault):
+    def broken(order):
+        raise fault("an invariant broke")
+
+    monkeypatch.setattr(cli, "todd_series", broken)
+    code, out, err = invoke(capsys, "todd", "--order", "4")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: internal fault in todd: ")
+    assert "an invariant broke" in err
 
 
 def test_suite_reports_one_line_per_criterion(capsys, monkeypatch):

@@ -92,6 +92,49 @@ def test_identity_twist_keeps_the_base_law():
     assert law == spec.generator(0) + spec.generator(1)
 
 
+@pytest.fixture
+def reversion_calls(monkeypatch):
+    """Every series TruncatedSeries.reversion is called on, in order."""
+    calls = []
+    original = TruncatedSeries.reversion
+
+    def counting(series):
+        calls.append(series)
+        return original(series)
+
+    monkeypatch.setattr(TruncatedSeries, "reversion", counting)
+    return calls
+
+
+def test_twisted_law_reverts_its_conjugator_once(reversion_calls):
+    tw = twist_theory(CHOW, exp_deficit_series(10))
+    assert reversion_calls == []  # built lazily, on the first law
+    tw.group_law(4)
+    a, b = ring_of(tw, (2, 3)).generators()
+    assert tw.law(a, b) == tw.law(b, a)
+    assert tw.law(a + b, a * b) == tw.law(a * b, a + b)
+    assert reversion_calls == [tw.twist.times_t()]
+
+
+@pytest.mark.parametrize("theory", [CHOW, K_THEORY], ids=["chow", "ktheory"])
+def test_untwisted_laws_never_revert(theory, reversion_calls):
+    theory.group_law(4)
+    a, b = ring_of(theory, (2, 2)).generators()
+    theory.law(a, b)
+    assert reversion_calls == []
+
+
+def test_filled_conjugation_cache_keeps_equality_hash_and_repr():
+    series = exp_deficit_series(10)
+    used = twist_theory(CHOW, series)
+    used.group_law(3)
+    fresh = twist_theory(CHOW, series)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert fresh.group_law(3) == used.group_law(3)
+
+
 def test_twist_requires_unit_constant():
     with pytest.raises(NonUnitConstant):
         twist_theory(CHOW_Q, TruncatedSeries([0, 1], 4))
