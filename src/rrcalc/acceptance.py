@@ -92,7 +92,8 @@ def _series_constants() -> tuple[bool, str]:
 
 def _expansion_formulas() -> tuple[bool, str]:
     symbols = ("c1", "c2", "c3")
-    spec = RingSpec(symbols, (3, 3, 3), RATIONALS)
+    # c_i has weight i; monomials above weight 3 vanish.
+    spec = RingSpec(symbols, (3, 1, 1), RATIONALS, (1, 2, 3), 3)
     c1, c2, c3 = spec.generators()
     half = Fraction(1, 2)
     expected_ch = [

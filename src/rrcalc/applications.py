@@ -197,9 +197,7 @@ def hypersurface_grr_identity(n: int, q: int) -> RingElement:
     hypersurface = q * h
     character = eval_series(exp_deficit_series(n).times_t(), hypersurface)
     expansion = character * todd_class(tangent_class(CHOW_Q, n))
-    truncated = spec.zero()
-    for degree in range(3):
-        truncated = truncated + expansion.graded_component(degree)
+    truncated = sum(expansion.graded_components()[:3], spec.zero())
     canonical = -(n + 1) * h
     direct = hypersurface - Fraction(1, 2) * (
         hypersurface * (canonical + hypersurface)
@@ -220,8 +218,7 @@ def structure_sheaf_chern(d: int) -> list[int]:
     cycle = spec.generator(0) ** d
     total = chern_from_character(cycle, 0).total_chern
     multiples = []
-    for i in range(1, d + 1):
-        piece = total.graded_component(i)
+    for i, piece in enumerate(total.graded_components()[1 : d + 1], start=1):
         coefficient = Fraction(piece.coefficient_of((i,)))
         if coefficient.denominator != 1:
             raise NonIntegerChi(f"c_{i} = {coefficient} Y is not integral")

@@ -10,7 +10,9 @@ Newton's identities, which is all a genus ever needs:
     multiplicative extension  F_x(E) = F(a_1) * ... * F(a_r)
 
 The Chern character is the additive extension of e^t, the Todd class the
-multiplicative extension of t/(1 - e^-t).
+multiplicative extension of t/(1 - e^-t).  Expansions in abstract Chern
+symbols are the same two extensions applied to the universal bundle, whose
+Chern classes are free symbols c_i of weight i.
 """
 
 from __future__ import annotations
@@ -66,8 +68,7 @@ class BundleClass:
 
     def chern_classes(self) -> list[RingElement]:
         """[c_1, c_2, ...] up to the ring's total nilpotency degree."""
-        m = self.spec.total_degree
-        return [self.total_chern.graded_component(n) for n in range(1, m + 1)]
+        return self.total_chern.graded_components()[1:]
 
 
 def whitney_sum(e: BundleClass, f: BundleClass) -> BundleClass:
@@ -83,8 +84,8 @@ def whitney_difference(e: BundleClass, f: BundleClass) -> BundleClass:
 def dual_bundle(e: BundleClass) -> BundleClass:
     """The dual in the additive model: roots negate, c_i picks up (-1)^i."""
     total = e.spec.zero()
-    for n in range(e.spec.total_degree + 1):
-        total = total + e.total_chern.graded_component(n) * ((-1) ** n)
+    for n, piece in enumerate(e.total_chern.graded_components()):
+        total = total + piece * ((-1) ** n)
     return BundleClass(e.rank, total)
 
 
@@ -106,7 +107,7 @@ def newton_e_to_p(elementary: Sequence[RingElement], up_to: int) -> list[RingEle
     for n in range(1, up_to + 1):
         acc = e(n) * ((-1) ** (n - 1) * n)
         for i in range(1, n):
-            acc = acc + e(i) * p[n - i - 1] * ((-1) ** (i - 1))
+            acc = acc + e(i) * ((-1) ** (i - 1)) * p[n - i - 1]
         p.append(acc)
     return p
 
@@ -159,9 +160,10 @@ def multiplicative_extension(series: TruncatedSeries, e: BundleClass) -> RingEle
     """F(a_1) * ... * F(a_r), a unit element.
 
     Computed log-free in the roots but not in the coefficients: with
-    F = F0*(1 + G), the product is F0^rank * exp(sum log(1+G)(a_i)), and
-    both log(1+G) and exp are exact truncated series.  Negative ranks
-    invert: F_x(-E) = F_x(E)^(-1).
+    F = F0*(1 + G), the product is F0^rank * exp(sum log(1+G)(a_i)), the
+    exponential of the additive extension of log(1+G), and both log(1+G)
+    and exp are exact truncated series.  Negative ranks invert:
+    F_x(-E) = F_x(E)^(-1).
     """
     c0 = series[0]
     if c0 == 0:
@@ -171,15 +173,7 @@ def multiplicative_extension(series: TruncatedSeries, e: BundleClass) -> RingEle
     reduced = series * (Fraction(1) / c0)
     gap = reduced - TruncatedSeries([1], reduced.order)
     log_part = log_one_plus_series(reduced.order).compose(gap)
-    exponent = e.spec.zero()
-    for n, p_n in enumerate(_power_sums(e), start=1):
-        if p_n.is_zero():
-            continue
-        if n > log_part.order:
-            raise InsufficientOrder(
-                f"series of order {series.order} is too short: p_{n} != 0"
-            )
-        exponent = exponent + p_n * log_part[n]
+    exponent = additive_extension(log_part, e)
     value = eval_series(exponential_series(e.spec.total_degree), exponent)
     return value * (Fraction(c0) ** e.rank)
 
@@ -194,77 +188,42 @@ def todd_class(e: BundleClass) -> RingElement:
     return multiplicative_extension(todd_series(e.spec.total_degree), e)
 
 
-def weight_component(element: RingElement, weight: int) -> RingElement:
-    """Terms of the given weighted degree, generator i carrying weight i + 1.
-
-    Ring generators are all degree 1 to the quotient ring, so expansions
-    in abstract Chern symbols c_1..c_m need their own grading.
-    """
-    picked = {}
-    for exps, c in element.terms.items():
-        if sum((i + 1) * e for i, e in enumerate(exps)) == weight:
-            picked[exps] = c
-    return element.spec.element(picked)
-
-
-def _symbol_ring(symbols: Sequence[str], order: int) -> RingSpec:
-    # Bound `order` per symbol: a monomial of weight <= order never overflows.
-    return RingSpec(tuple(symbols), (order,) * len(symbols), RATIONALS)
+def _symbol_bundle(rank: int, symbols: Sequence[str], order: int) -> BundleClass:
+    # The universal bundle: total Chern class 1 + c_1 + ... + c_m, with c_i
+    # of weight i, in a ring truncated above weight `order`.
+    weights = tuple(range(1, len(symbols) + 1))
+    bounds = tuple(order // w for w in weights)
+    spec = RingSpec(tuple(symbols), bounds, RATIONALS, weights, order)
+    return BundleClass(rank, sum(spec.generators(), spec.one()))
 
 
 def character_rows(rank: int, symbols: Sequence[str], order: int) -> list[RingElement]:
     """ch_0 .. ch_order in abstract Chern symbols; entry n is the weight-n row.
 
-    Row 0 is the rank, row n is p_n/n! with p_n the Newton power sum of
-    the symbols, so c_1, (c_1^2 - 2c_2)/2, ... with exact coefficients.
+    The graded pieces of chern_character of the symbol bundle: row 0 is
+    the rank, row n is p_n/n! with p_n the Newton power sum of the
+    symbols, so c_1, (c_1^2 - 2c_2)/2, ... with exact coefficients.
     """
-    spec = _symbol_ring(symbols, order)
-    rows = [spec.scalar(rank)]
-    power_sums = (
-        newton_e_to_p(list(spec.generators()), order) if symbols and order else []
-    )
-    for n in range(1, order + 1):
-        if power_sums:
-            rows.append(power_sums[n - 1] * Fraction(1, factorial(n)))
-        else:
-            rows.append(spec.zero())
-    return rows
+    return chern_character(_symbol_bundle(rank, symbols, order)).graded_components()
 
 
 def todd_rows(symbols: Sequence[str], order: int) -> list[RingElement]:
     """Td_0 .. Td_order in abstract Chern symbols, weight-graded.
 
-    Rank never enters: the Todd series has constant term 1.  The rows
-    come out of the same log/exp route as multiplicative_extension, with
-    the exponential taken deep enough that no alive power is dropped.
+    The graded pieces of todd_class of the symbol bundle.  Rank never
+    enters: the Todd series has constant term 1.
     """
-    spec = _symbol_ring(symbols, order)
-    if not symbols or order == 0:
-        return [spec.one()] + [spec.zero()] * order
-    power_sums = newton_e_to_p(list(spec.generators()), order)
-    series = todd_series(order)
-    gap = series - TruncatedSeries([1], order)
-    log_part = log_one_plus_series(order).compose(gap)
-    exponent = spec.zero()
-    for n in range(1, order + 1):
-        exponent = exponent + power_sums[n - 1] * log_part[n]
-    value = eval_series(exponential_series(spec.total_degree), exponent)
-    return [weight_component(value, n) for n in range(order + 1)]
+    return todd_class(_symbol_bundle(0, symbols, order)).graded_components()
 
 
 def chern_from_character(character: RingElement, rank: int) -> BundleClass:
     """Invert the Chern character: p_n = n! * ch_n, then Newton back to e_n."""
-    if character.graded_component(0) != rank:
-        raise RankMismatch(
-            f"degree-0 part {character.graded_component(0)} does not equal rank {rank}"
-        )
-    spec = character.spec
-    m = spec.total_degree
-    power_sums = [
-        character.graded_component(n) * factorial(n) for n in range(1, m + 1)
-    ]
-    total = spec.one()
+    pieces = character.graded_components()
+    if pieces[0] != rank:
+        raise RankMismatch(f"degree-0 part {pieces[0]} does not equal rank {rank}")
+    power_sums = [piece * factorial(n) for n, piece in enumerate(pieces[1:], start=1)]
+    total = character.spec.one()
     if power_sums:
-        for e_n in newton_p_to_e(power_sums, m):
+        for e_n in newton_p_to_e(power_sums, len(power_sums)):
             total = total + e_n
     return BundleClass(rank, total)

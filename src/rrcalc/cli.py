@@ -64,6 +64,10 @@ from .theories import (
 # Highest `verify twist-law --order`: about 6 s on a 2.1 GHz Xeon, and the
 # cost grows roughly like order^4 beyond it.
 MAX_TWIST_LAW_ORDER = 28
+# Highest `ch --order`: about 4 s with as many symbols as the order (34: 6 s).
+MAX_CH_ORDER = 32
+# Highest `todd --order`: about 3 s; 600 takes 5 s and 1000 about 30 s.
+MAX_TODD_ORDER = 500
 
 # Library invariant checks; reaching one from the CLI is a bug (exit 3).
 _INTERNAL_FAULTS = (
@@ -152,7 +156,13 @@ def _render(result: CommandResult, fmt: str) -> str:
     return "\n".join(lines)
 
 
+def _check_order(order: int, bound: int):
+    if not 0 <= order <= bound:
+        raise ValueError(f"--order must be in 0..{bound}, got {order}")
+
+
 def _cmd_todd(args) -> CommandResult:
+    _check_order(args.order, MAX_TODD_ORDER)
     series = todd_series(args.order)
     return CommandResult(
         "todd",
@@ -169,6 +179,7 @@ def _cmd_ch(args) -> CommandResult:
     for name in names:
         if not name.isidentifier():
             raise ValueError(f"{name!r} is not a usable symbol name")
+    _check_order(args.order, MAX_CH_ORDER)
     rows = character_rows(args.rank, names, args.order)
     return CommandResult(
         "ch",
@@ -344,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     todd = sub.add_parser("todd", parents=[common], help="Todd series coefficients")
-    todd.add_argument("--order", type=int, default=4)
+    todd.add_argument("--order", type=int, default=4, help=f"order, 0..{MAX_TODD_ORDER}")
     todd.set_defaults(handler=_cmd_todd)
 
     ch = sub.add_parser(
@@ -352,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ch.add_argument("--rank", type=int, default=0)
     ch.add_argument("--chern", default="c1,c2,c3", help="comma-separated symbol names")
-    ch.add_argument("--order", type=int, default=3)
+    ch.add_argument("--order", type=int, default=3, help=f"top weight, 0..{MAX_CH_ORDER}")
     ch.set_defaults(handler=_cmd_ch)
 
     chi = sub.add_parser("chi", help="Euler characteristics")

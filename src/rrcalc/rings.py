@@ -6,13 +6,16 @@ stored sparsely as {exponent vector: coefficient}; multiplication drops
 any monomial whose exponent overflows its bound, which is the whole
 content of the quotient.  Scalars are exact integers or exact rationals,
 fixed once per ring.
+Generators may carry weights, and a ring may cap the weighted degree:
+abstract Chern symbols c_i have weight i, truncated above an order.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Union
 
 from .series import TruncatedSeries
@@ -53,22 +56,30 @@ class RingSpec:
     """Shape of a ring A[x1..xk]/(x_i^(d_i+1)) with A = Z or Q.
 
     `bounds[i]` is the largest surviving exponent of variable i; k = 0
-    describes the coefficient ring itself.
+    describes the coefficient ring itself.  Variable i has weight
+    `weights[i]` (default 1), and when `cap` is set every monomial of
+    weighted degree above it is zero as well.
     """
 
     variables: tuple[str, ...]
     bounds: tuple[int, ...]
     scalars: str = INTEGERS
+    weights: tuple[int, ...] | None = None
+    cap: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "bounds", tuple(int(b) for b in self.bounds))
-        if len(self.variables) != len(self.bounds):
-            raise ValueError("one bound per variable required")
+        weights = (1,) * len(self.variables) if self.weights is None else self.weights
+        object.__setattr__(self, "weights", tuple(int(w) for w in weights))
+        if not len(self.variables) == len(self.bounds) == len(self.weights):
+            raise ValueError("one bound and one weight per variable required")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be distinct")
         if any(b < 0 for b in self.bounds):
             raise ValueError("bounds must be >= 0")
+        if any(w < 1 for w in self.weights) or (self.cap is not None and self.cap < 0):
+            raise ValueError("weights must be >= 1 and the cap >= 0")
         if self.scalars not in (INTEGERS, RATIONALS):
             raise ValueError(f"unknown scalar domain {self.scalars!r}")
 
@@ -77,12 +88,23 @@ class RingSpec:
         if not self.variables:
             return ring
         rels = ", ".join(f"{v}^{d + 1}" for v, d in zip(self.variables, self.bounds))
+        if self.cap is not None or set(self.weights) != {1}:
+            rels += f"; weights {self.weights}, cap {self.cap}"
         return f"{ring}[{', '.join(self.variables)}]/({rels})"
 
     @property
     def total_degree(self) -> int:
-        """Largest total degree of a surviving monomial, sum of the bounds."""
-        return sum(self.bounds)
+        """The cap if set, else the weighted degree of the top monomial."""
+        return self.weight(self.bounds) if self.cap is None else self.cap
+
+    def weight(self, exponents: Exponents) -> int:
+        """Weighted degree sum w_i * e_i of an exponent vector."""
+        return sum(map(mul, self.weights, exponents))
+
+    def fits(self, exponents: Exponents) -> bool:
+        """Whether a monomial survives: within its bounds and under the cap."""
+        within = all(0 <= e <= d for e, d in zip(exponents, self.bounds))
+        return within and (self.cap is None or self.weight(exponents) <= self.cap)
 
     def coerce(self, value: Scalar) -> Scalar:
         """Bring a scalar into this ring's coefficient domain."""
@@ -108,9 +130,8 @@ class RingSpec:
             raise OutOfBounds(
                 f"expected {len(self.variables)} exponents, got {len(exponents)}"
             )
-        for e, d in zip(exponents, self.bounds):
-            if e < 0 or e > d:
-                raise OutOfBounds(f"exponent vector {exponents} exceeds bounds {self.bounds}")
+        if not self.fits(exponents):
+            raise OutOfBounds(f"exponent vector {exponents} does not fit {self}")
         return exponents
 
     def element(self, terms: Mapping[Exponents, Scalar]) -> "RingElement":
@@ -127,14 +148,11 @@ class RingSpec:
         return RingElement(self, {(0,) * len(self.variables): value})
 
     def generator(self, index: int) -> "RingElement":
-        """The index-th variable as an element; zero when its bound is 0."""
+        """The index-th variable as an element; zero when it cannot survive."""
         if not 0 <= index < len(self.variables):
             raise IndexError(f"no variable {index} in {self}")
-        if self.bounds[index] == 0:
-            return self.zero()
-        exps = [0] * len(self.variables)
-        exps[index] = 1
-        return RingElement(self, {tuple(exps): 1})
+        exps = tuple(int(i == index) for i in range(len(self.variables)))
+        return RingElement(self, {exps: 1} if self.fits(exps) else {})
 
     def generators(self) -> list["RingElement"]:
         return [self.generator(i) for i in range(len(self.variables))]
@@ -142,17 +160,17 @@ class RingSpec:
     def monomials(self) -> Iterable[Exponents]:
         """All surviving exponent vectors, in graded-lexicographic order."""
         everything = itertools.product(*(range(d + 1) for d in self.bounds))
-        return sorted(everything, key=_render_key)
+        return sorted(filter(self.fits, everything), key=_render_key)
 
     def rationalized(self) -> "RingSpec":
         if self.scalars == RATIONALS:
             return self
-        return RingSpec(self.variables, self.bounds, RATIONALS)
+        return replace(self, scalars=RATIONALS)
 
 
 def _render_key(exponents: Exponents):
     # Graded order first; within a degree, larger leading exponents first,
-    # so that e.g. x1^2 renders before x1*x2 before x2^2.
+    # so that e.g. x1^2 renders before x1*x2 before x2^2.  Weights never enter.
     return (sum(exponents), tuple(-e for e in exponents))
 
 
@@ -178,7 +196,7 @@ class RingElement:
         raise AttributeError("RingElement is immutable")
 
     def _require_same_spec(self, other: "RingElement"):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise SpecMismatch(f"cannot mix {self.spec} with {other.spec}")
 
     @property
@@ -256,6 +274,10 @@ class RingElement:
                     out.pop(exponents, None)
                 else:
                     out[exponents] = acc
+        cap = self.spec.cap
+        if cap is not None:
+            weights = self.spec.weights
+            out = {e: c for e, c in out.items() if sum(map(mul, weights, e)) <= cap}
         return _raw(self.spec, out)
 
     __rmul__ = __mul__
@@ -301,11 +323,17 @@ class RingElement:
         return result * lead
 
     def graded_component(self, degree: int) -> "RingElement":
-        """Sum of the terms of total degree `degree` (variables have degree 1)."""
-        return _raw(
-            self.spec,
-            {e: c for e, c in self.terms.items() if sum(e) == degree},
-        )
+        """Sum of the terms of weighted degree `degree`."""
+        weight = self.spec.weight
+        return _raw(self.spec, {e: c for e, c in self.terms.items() if weight(e) == degree})
+
+    def graded_components(self) -> list["RingElement"]:
+        """Every graded piece, degrees 0..total_degree, in one pass."""
+        weight = self.spec.weight
+        pieces = [{} for _ in range(self.spec.total_degree + 1)]
+        for e, c in self.terms.items():
+            pieces[weight(e)][e] = c
+        return [_raw(self.spec, piece) for piece in pieces]
 
     def coefficient_of(self, exponents: Exponents) -> Scalar:
         """The coefficient of one monomial; 0 if absent."""

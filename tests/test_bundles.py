@@ -25,7 +25,6 @@ from rrcalc.bundles import (
     newton_p_to_e,
     todd_class,
     todd_rows,
-    weight_component,
     whitney_difference,
     whitney_sum,
 )
@@ -203,13 +202,13 @@ def test_todd_rows_formulas():
 
 
 def test_weight_component_uses_symbol_weights():
-    spec = RingSpec(("c1", "c2"), (2, 2), RATIONALS)
+    spec = RingSpec(("c1", "c2"), (2, 2), RATIONALS, (1, 2))
     c1, c2 = spec.generators()
     mixed = c1 + c2 + c1 * c2 + c1 * c1
-    assert weight_component(mixed, 1) == c1
-    assert weight_component(mixed, 2) == c2 + c1 * c1
-    assert weight_component(mixed, 3) == c1 * c2
-    assert weight_component(mixed, 4).is_zero()
+    assert mixed.graded_component(1) == c1
+    assert mixed.graded_component(2) == c2 + c1 * c1
+    assert mixed.graded_component(3) == c1 * c2
+    assert mixed.graded_component(4).is_zero()
 
 
 def test_rows_against_root_bundle():
@@ -226,3 +225,18 @@ def test_rows_against_root_bundle():
                 term = term * e.chern_class(index + 1) ** power
             substituted = substituted + term
     assert substituted == chern_character(e)
+
+
+def test_todd_rows_against_root_bundle():
+    # The same substitution into the abstract Todd rows reproduces todd_class.
+    spec = _root_ring(3)
+    e = _bundle_from_roots(spec, (0, 1, 2))
+    rows = todd_rows(("c1", "c2", "c3"), spec.total_degree)
+    substituted = spec.zero()
+    for row in rows:
+        for exps, value in row.terms.items():
+            term = spec.scalar(value)
+            for index, power in enumerate(exps):
+                term = term * e.chern_class(index + 1) ** power
+            substituted = substituted + term
+    assert substituted == todd_class(e)

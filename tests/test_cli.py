@@ -206,6 +206,21 @@ def test_twist_law_above_its_bound_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "command, name", [("todd", "MAX_TODD_ORDER"), ("ch", "MAX_CH_ORDER")]
+)
+def test_order_outside_its_bound_is_a_usage_error(capsys, command, name):
+    bound = getattr(cli, name)
+    for order in (bound + 1, -1):
+        code, out, err = invoke(capsys, command, "--order", str(order))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --order must be in 0..{bound}, got {order}\n"
+    code, out, _ = invoke(capsys, command, "--help")
+    assert code == 0
+    assert f"0..{bound}" in out
+
+
+@pytest.mark.parametrize(
     "fault",
     [InsufficientOrder, NonNilpotentArgument, NotReversible, OutOfBounds, SpecMismatch],
     ids=lambda fault: fault.__name__,

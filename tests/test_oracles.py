@@ -1,10 +1,15 @@
-"""Series reversion against sympy, an independently written oracle.
+"""rrcalc against sympy, an independently written oracle.
 
 sympy's `rs_series_reversion` finds the inverse by successive
 substitution, a different route from the Lagrange inversion in
-`TruncatedSeries.reversion`.  Skipped where sympy is not installed.
+`TruncatedSeries.reversion`.  The Todd and exponential-deficit series
+are checked against sympy's own `series`, and the abstract Chern-symbol
+rows against sums and products over literal roots, rewritten in the
+elementary symmetric functions by `symmetrize`.  Skipped where sympy is
+not installed.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -12,11 +17,14 @@ import pytest
 
 pytest.importorskip("sympy")
 
+import sympy
 from sympy import QQ
+from sympy.polys.polyfuncs import symmetrize
 from sympy.polys.ring_series import rs_series_reversion
 from sympy.polys.rings import ring
 
-from rrcalc.series import TruncatedSeries, exp_deficit_series
+from rrcalc.bundles import character_rows, todd_rows
+from rrcalc.series import TruncatedSeries, exp_deficit_series, todd_series
 
 R, t, y = ring("t, y", QQ)
 
@@ -46,3 +54,72 @@ def test_reversion_matches_sympy_on_random_series():
 def test_deficit_conjugator_reversion_matches_sympy(depth):
     conjugator = exp_deficit_series(depth).times_t()
     assert conjugator.reversion() == sympy_reversion(conjugator)
+
+
+x = sympy.Symbol("x")
+ROOTS = sympy.symbols("x1:6")
+CHERN = sympy.symbols("c1:6")
+
+
+@functools.lru_cache(maxsize=None)
+def sympy_series(name: str, order: int):
+    closed = {"todd": x / (1 - sympy.exp(-x)), "exp_deficit": (1 - sympy.exp(-x)) / x}
+    return sympy.series(closed[name], x, 0, order + 1).removeO()
+
+
+def as_fractions(expression, order: int) -> TruncatedSeries:
+    return TruncatedSeries(
+        Fraction(int(c.p), int(c.q))
+        for c in (expression.coeff(x, k) for k in range(order + 1))
+    )
+
+
+@pytest.mark.parametrize(
+    "name, ours", [("todd", todd_series), ("exp_deficit", exp_deficit_series)]
+)
+def test_stock_series_match_sympy_to_order_30(name, ours):
+    assert ours(30) == as_fractions(sympy_series(name, 30), 30)
+
+
+def symmetric_rows(per_root, combine, order: int) -> list:
+    """Rows of combine(F(x1), .., F(x5)) by degree, in c_i = e_i(x1..x5)."""
+    total = combine(per_root.subs(x, root) for root in ROOTS)
+    by_degree = [sympy.Integer(0)] * (order + 1)
+    for monomial, coefficient in sympy.Poly(total, *ROOTS).terms():
+        if sum(monomial) <= order:
+            by_degree[sum(monomial)] += coefficient * sympy.prod(
+                r**e for r, e in zip(ROOTS, monomial)
+            )
+    rows = []
+    for piece in by_degree:
+        symmetric, remainder, names = symmetrize(piece, *ROOTS, formal=True)
+        assert remainder == 0
+        rows.append(sympy.expand(symmetric.subs(dict(zip([n for n, _ in names], CHERN)))))
+    return rows
+
+
+def as_sympy(row):
+    """One rrcalc row as a sympy polynomial in c1..c5."""
+    terms = (
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.prod(s**e for s, e in zip(CHERN, exps))
+        for exps, c in row.terms.items()
+    )
+    return sympy.expand(sum(terms, sympy.Integer(0)))
+
+
+def test_todd_rows_match_the_product_over_five_roots():
+    todd_root = sum(sympy_series("todd", 30).coeff(x, k) * x**k for k in range(6))
+    expected = symmetric_rows(todd_root, lambda fs: sympy.expand(sympy.prod(fs)), 5)
+    for order in range(6):
+        rows = todd_rows(tuple(map(str, CHERN)), order)
+        assert [as_sympy(row) for row in rows] == expected[: order + 1]
+
+
+def test_character_rows_match_the_sum_over_five_roots():
+    exp_root = sum(x**k / sympy.factorial(k) for k in range(6))
+    expected = symmetric_rows(exp_root, sum, 5)
+    for order in range(6):
+        # Five roots, so rank 5: row 0 is e^0 summed over the roots.
+        rows = character_rows(5, tuple(map(str, CHERN)), order)
+        assert [as_sympy(row) for row in rows] == expected[: order + 1]

@@ -24,6 +24,9 @@ def test_spec_rendering():
     assert str(RingSpec(("x", "y"), (2, 1))) == "Z[x, y]/(x^3, y^2)"
     assert str(RingSpec(("h",), (3,), RATIONALS)) == "Q[h]/(h^4)"
     assert str(RingSpec((), ())) == "Z"
+    assert str(RingSpec(("c1", "c2"), (3, 1), RATIONALS, (1, 2), 3)) == (
+        "Q[c1, c2]/(c1^4, c2^2; weights (1, 2), cap 3)"
+    )
 
 
 def test_spec_validation():
@@ -213,3 +216,73 @@ def test_point_ring_has_scalars_only():
     assert spec.monomials() == [()]
     assert spec.one() + spec.one() == spec.scalar(2)
     assert spec.total_degree == 0
+
+
+# ---------------------------------------------------------------- weights
+
+
+def _symbol_spec() -> RingSpec:
+    # c1, c2, c3 of weights 1, 2, 3, truncated above weight 3.
+    return RingSpec(("c1", "c2", "c3"), (3, 1, 1), RATIONALS, (1, 2, 3), 3)
+
+
+def test_weights_default_to_one_and_are_validated():
+    assert RingSpec(("x", "y"), (2, 2)).weights == (1, 1)
+    assert RingSpec(("x", "y"), (2, 2)) == RingSpec(("x", "y"), (2, 2), INTEGERS, (1, 1))
+    with pytest.raises(ValueError):
+        RingSpec(("x", "y"), (2, 2), RATIONALS, (1,))
+    with pytest.raises(ValueError):
+        RingSpec(("x", "y"), (2, 2), RATIONALS, (1, 0))
+    with pytest.raises(ValueError):
+        RingSpec(("x",), (2,), RATIONALS, (1,), -1)
+
+
+def test_elements_above_the_cap_are_rejected():
+    spec = _symbol_spec()
+    assert spec.element({(1, 1, 0): 1}).coefficient_of((1, 1, 0)) == 1
+    with pytest.raises(OutOfBounds):
+        spec.element({(2, 1, 0): 1})  # weight 4
+    with pytest.raises(OutOfBounds):
+        spec.element({(0, 1, 1): 1})  # weight 5, inside the per-variable bounds
+
+
+def test_products_are_truncated_at_the_cap():
+    spec = _symbol_spec()
+    c1, c2, c3 = spec.generators()
+    assert spec.total_degree == 3
+    assert (c1 * c2).terms == {(1, 1, 0): 1}
+    assert (c1 * c3).is_zero()
+    assert (c2 * c2).is_zero()
+    assert ((spec.one() + c1 + c2 + c3) ** 2).graded_component(3) == 2 * c3 + 2 * c1 * c2
+    assert (spec.one() + c1) ** 4 == spec.one() + 4 * c1 + 6 * c1 * c1 + 4 * c1 ** 3
+    assert spec.monomials() == [
+        (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (3, 0, 0)
+    ]
+
+
+def test_weighted_total_degree_and_generators_without_a_cap():
+    spec = RingSpec(("x", "y"), (2, 1), RATIONALS, (1, 3))
+    assert spec.total_degree == 5
+    x, y = spec.generators()
+    assert (x * x * y).graded_component(5) == x * x * y
+    assert [str(piece) for piece in (x + y + x * y).graded_components()] == [
+        "0", "x", "0", "y", "x*y", "0"
+    ]
+    assert RingSpec(("z",), (1,), RATIONALS, (4,), 3).generator(0).is_zero()
+
+
+def test_rationalized_keeps_weights_and_cap():
+    spec = RingSpec(("c1", "c2"), (2, 1), INTEGERS, (1, 2), 2)
+    widened = spec.rationalized()
+    assert widened.scalars == RATIONALS
+    assert (widened.weights, widened.cap) == ((1, 2), 2)
+    assert (spec.one() + spec.generator(1)).widened().spec == widened
+
+
+def test_specs_differing_only_in_weights_are_unequal():
+    plain = RingSpec(("c1", "c2"), (2, 2), RATIONALS)
+    weighted = RingSpec(("c1", "c2"), (2, 2), RATIONALS, (1, 2))
+    capped = RingSpec(("c1", "c2"), (2, 2), RATIONALS, (1, 2), 4)
+    assert plain != weighted != capped != plain
+    with pytest.raises(SpecMismatch):
+        plain.generator(0) * weighted.generator(0)
