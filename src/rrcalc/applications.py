@@ -100,12 +100,10 @@ def verify_grr(n: int, f: Morphism, a: RingElement) -> RingElement:
     return value verifies the identity for this pair.
     """
     if sum(f.source) != n:
-        raise SpecMismatch(f"source of {f.kind} has dimension {sum(f.source)}, not {n}")
+        raise SpecMismatch(f"source of {f} has dimension {sum(f.source)}, not {n}")
     direct = universal_morphism(pushforward(TheoryModel(1, a.spec.scalars), f, a))
     source_density = todd_class(space_tangent(CHOW_Q, f.source)) * universal_morphism(a)
     target_todd = todd_class(space_tangent(CHOW_Q, f.target))
-    # The untwisted additive pushforward reads only the shape of f, so the
-    # K-theory descriptor serves both sides.
     corrected = target_todd.inverse() * pushforward(CHOW_Q, f, source_density)
     return direct - corrected
 

@@ -48,7 +48,7 @@ from .rings import (
     RingSpec,
     SpecMismatch,
 )
-from .series import NotReversible, TruncatedSeries, exp_deficit_series, todd_series
+from .series import NotReversible, exp_deficit_series, todd_series
 from .theories import (
     CHOW,
     K_THEORY,
@@ -68,6 +68,22 @@ MAX_TWIST_LAW_ORDER = 28
 MAX_CH_ORDER = 32
 # Highest `todd --order`: about 3 s; 600 takes 5 s and 1000 about 30 s.
 MAX_TODD_ORDER = 500
+# Most `ch --chern` symbols: about 5.4 s at `--order 32` (64 symbols: 6.8 s).
+MAX_CH_SYMBOLS = 48
+# Largest |--twist| of `chi pn` and `verify grr`: adds about 1 s at the
+# largest --dim; twists of 10^100 take 1 s on P^20 and 10^1000 over 40 s.
+MAX_TWIST = 10**6
+# Highest --dim per command, with its time at the bound and one step up:
+# chi pn 3.6 s (100: 7.8 s); verify grr 3.5 s with --immersion 59 (70: 4.8 s,
+# 80: 8.5 s); diagonal 3.5 s (240: 5.2 s); adjunction 2.7 s (100: 5.1 s).
+MAX_CHI_PN_DIM = 80
+MAX_GRR_DIM = 60
+MAX_DIAGONAL_DIM = 200
+MAX_ADJUNCTION_DIM = 80
+# Highest `sheaf-chern --codim`: about 1.4 s; 384 takes 3.9 s, 512 5.7 s.
+MAX_SHEAF_CODIM = 256
+
+_TWIST_HELP = f"d of the line bundle O(d), -{MAX_TWIST}..{MAX_TWIST}"
 
 # Library invariant checks; reaching one from the CLI is a bug (exit 3).
 _INTERNAL_FAULTS = (
@@ -156,97 +172,70 @@ def _render(result: CommandResult, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _check_order(order: int, bound: int):
-    if not 0 <= order <= bound:
-        raise ValueError(f"--order must be in 0..{bound}, got {order}")
+def _check_bound(flag: str, value: int, low: int, high: int):
+    if not low <= value <= high:
+        raise ValueError(f"{flag} must be in {low}..{high}, got {value}")
 
 
-def _cmd_todd(args) -> CommandResult:
-    _check_order(args.order, MAX_TODD_ORDER)
-    series = todd_series(args.order)
-    return CommandResult(
-        "todd",
-        {"order": args.order},
-        {"coefficients": list(series.coefficients)},
-        None,
-    )
+def _symbol_list(text: str) -> str:
+    """--chern with the blanks around each name and the empty names dropped."""
+    return ",".join(name.strip() for name in text.split(",") if name.strip())
 
 
-def _cmd_ch(args) -> CommandResult:
-    names = tuple(s.strip() for s in args.chern.split(",") if s.strip())
+# What a handler returns: the outputs and the verdict (None: nothing to verify).
+# `run` adds the command name and the inputs, on success and failure alike.
+Outcome = tuple[dict, bool | None]
+
+
+def _cmd_todd(args) -> Outcome:
+    _check_bound("--order", args.order, 0, MAX_TODD_ORDER)
+    return {"coefficients": list(todd_series(args.order).coefficients)}, None
+
+
+def _cmd_ch(args) -> Outcome:
+    names = tuple(filter(None, args.chern.split(",")))
     if not names:
         raise ValueError("--chern needs at least one symbol name")
     for name in names:
         if not name.isidentifier():
             raise ValueError(f"{name!r} is not a usable symbol name")
-    _check_order(args.order, MAX_CH_ORDER)
+    _check_bound("--chern symbol count", len(names), 1, MAX_CH_SYMBOLS)
+    _check_bound("--order", args.order, 0, MAX_CH_ORDER)
     rows = character_rows(args.rank, names, args.order)
-    return CommandResult(
-        "ch",
-        {"chern": ",".join(names), "order": args.order, "rank": args.rank},
-        {"rows": [str(row) for row in rows]},
-        None,
-    )
+    return {"rows": [str(row) for row in rows]}, None
 
 
-def _cmd_chi_pn(args) -> CommandResult:
-    chi = euler_characteristic_pn(args.dim, args.twist)
-    return CommandResult(
-        "chi pn",
-        {"dim": args.dim, "twist": args.twist},
-        {"chi": chi},
-        True,
-    )
+def _cmd_chi_pn(args) -> Outcome:
+    _check_bound("--dim", args.dim, 0, MAX_CHI_PN_DIM)
+    _check_bound("--twist", args.twist, -MAX_TWIST, MAX_TWIST)
+    return {"chi": euler_characteristic_pn(args.dim, args.twist)}, True
 
 
-def _cmd_chi_curve(args) -> CommandResult:
+def _cmd_chi_curve(args) -> Outcome:
     chi = chi_curve(AbstractCurve(args.genus), CurveBundle(args.rank, args.deg))
-    return CommandResult(
-        "chi curve",
-        {"deg": args.deg, "genus": args.genus, "rank": args.rank},
-        {"chi": chi},
-        True,
-    )
+    return {"chi": chi}, True
 
 
-def _cmd_chi_surface(args) -> CommandResult:
+def _cmd_chi_surface(args) -> Outcome:
     surface = AbstractSurface(args.k2, args.chitop)
     bundle = SurfaceBundle(args.rank, args.c1k, args.c1sq, args.c2)
-    chi = chi_surface(surface, bundle)
-    return CommandResult(
-        "chi surface",
-        {
-            "c1k": args.c1k,
-            "c1sq": args.c1sq,
-            "c2": args.c2,
-            "chitop": args.chitop,
-            "k2": args.k2,
-            "rank": args.rank,
-        },
-        {"chi": chi},
-        True,
-    )
+    return {"chi": chi_surface(surface, bundle)}, True
 
 
-def _cmd_verify_grr(args) -> CommandResult:
-    inputs = {"dim": args.dim, "twist": args.twist}
+def _cmd_verify_grr(args) -> Outcome:
+    _check_bound("--dim", args.dim, 0, MAX_GRR_DIM)
+    _check_bound("--twist", args.twist, -MAX_TWIST, MAX_TWIST)
     if args.immersion is None:
         f = point_projection(K_THEORY, args.dim)
         source_dim = args.dim
     else:
-        inputs["immersion"] = args.immersion
         f = linear_immersion(K_THEORY, args.immersion, args.dim)
         source_dim = args.immersion
     residual = verify_grr(source_dim, f, k_line_class(source_dim, args.twist))
-    return CommandResult(
-        "verify grr",
-        inputs,
-        {"residual": str(residual), "zero": residual.is_zero()},
-        residual.is_zero(),
-    )
+    return {"residual": str(residual), "zero": residual.is_zero()}, residual.is_zero()
 
 
-def _cmd_verify_twist_law(args) -> CommandResult:
+def _cmd_verify_twist_law(args) -> Outcome:
     order = args.order
     if order < 1:
         raise ValueError("--order must be >= 1 for a group law to check")
@@ -258,32 +247,25 @@ def _cmd_verify_twist_law(args) -> CommandResult:
     law = twisted.group_law(order)
     spec = RingSpec(("u", "v"), (order, order), RATIONALS)
     expected = spec.generator(0) + spec.generator(1) - spec.generator(0) * spec.generator(1)
-    return CommandResult(
-        "verify twist-law",
-        {"order": order},
-        {"expected": str(expected), "law": str(law)},
-        law == expected,
-    )
+    return {"expected": str(expected), "law": str(law)}, law == expected
 
 
-def _cmd_diagonal(args) -> CommandResult:
+def _cmd_diagonal(args) -> Outcome:
+    _check_bound("--dim", args.dim, 0, MAX_DIAGONAL_DIM)
     theory = CHOW if args.theory == "chow" else K_THEORY
     delta = diagonal_class(theory, args.dim)
     report = metric_check(theory, args.dim)
     coefficients = {f"({r},{s})": c for (r, s), c in delta.terms.items()}
-    return CommandResult(
-        "diagonal",
-        {"dim": args.dim, "theory": args.theory},
-        {
-            "coefficients": coefficients,
-            "determinant": report.determinant,
-            "unit": report.unit,
-        },
-        report.unit,
-    )
+    outputs = {
+        "coefficients": coefficients,
+        "determinant": report.determinant,
+        "unit": report.unit,
+    }
+    return outputs, report.unit
 
 
-def _cmd_adjunction(args) -> CommandResult:
+def _cmd_adjunction(args) -> Outcome:
+    _check_bound("--dim", args.dim, 2, MAX_ADJUNCTION_DIM)
     degree = canonical_degree_hypersurface(args.dim, args.deg)
     residual = hypersurface_grr_identity(args.dim, args.deg)
     outputs = {
@@ -293,38 +275,24 @@ def _cmd_adjunction(args) -> CommandResult:
     }
     if args.dim == 2:
         outputs["genus"] = degree // 2 + 1
-    return CommandResult(
-        "adjunction",
-        {"deg": args.deg, "dim": args.dim},
-        outputs,
-        residual.is_zero(),
-    )
+    return outputs, residual.is_zero()
 
 
-def _cmd_sheaf_chern(args) -> CommandResult:
+def _cmd_sheaf_chern(args) -> Outcome:
     d = args.codim
+    _check_bound("--codim", d, 1, MAX_SHEAF_CODIM)
     multiples = structure_sheaf_chern(d)
     expected_top = (-1) ** (d - 1) * factorial(d - 1)
     ok = all(m == 0 for m in multiples[: d - 1]) and multiples[d - 1] == expected_top
-    return CommandResult(
-        "sheaf-chern",
-        {"codim": d},
-        {"multiples_of_Y": multiples, "note": SIGN_NOTE},
-        ok,
-    )
+    return {"multiples_of_Y": multiples, "note": SIGN_NOTE}, ok
 
 
-def _cmd_zeuthen(args) -> CommandResult:
+def _cmd_zeuthen(args) -> Outcome:
     value = zeuthen_segre(FormSingularityData(args.dk, args.d2, args.lengths))
-    return CommandResult(
-        "zeuthen",
-        {"d2": args.d2, "dk": args.dk, "lengths": args.lengths},
-        {"c2_degree": value},
-        None,
-    )
+    return {"c2_degree": value}, None
 
 
-def _cmd_suite(args) -> CommandResult:
+def _cmd_suite(args) -> Outcome:
     results = acceptance.run_all()
     criteria = [
         {
@@ -335,12 +303,7 @@ def _cmd_suite(args) -> CommandResult:
         }
         for r in results
     ]
-    return CommandResult(
-        "suite",
-        {},
-        {"criteria": criteria},
-        all(r.passed for r in results),
-    )
+    return {"criteria": criteria}, all(r.passed for r in results)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -362,15 +325,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "ch", parents=[common], help="Chern character in abstract symbols"
     )
     ch.add_argument("--rank", type=int, default=0)
-    ch.add_argument("--chern", default="c1,c2,c3", help="comma-separated symbol names")
+    ch.add_argument(
+        "--chern",
+        type=_symbol_list,
+        default="c1,c2,c3",
+        help=f"comma-separated symbol names, 1..{MAX_CH_SYMBOLS} of them",
+    )
     ch.add_argument("--order", type=int, default=3, help=f"top weight, 0..{MAX_CH_ORDER}")
     ch.set_defaults(handler=_cmd_ch)
 
     chi = sub.add_parser("chi", help="Euler characteristics")
     chi_sub = chi.add_subparsers(dest="target", required=True)
     chi_pn = chi_sub.add_parser("pn", parents=[common], help="chi(P^n, O(d)) both ways")
-    chi_pn.add_argument("--dim", type=int, required=True)
-    chi_pn.add_argument("--twist", type=int, default=0)
+    chi_pn.add_argument("--dim", type=int, required=True, help=f"n, 0..{MAX_CHI_PN_DIM}")
+    chi_pn.add_argument("--twist", type=int, default=0, help=_TWIST_HELP)
     chi_pn.set_defaults(handler=_cmd_chi_pn)
     chi_curve_p = chi_sub.add_parser("curve", parents=[common])
     chi_curve_p.add_argument("--genus", type=int, default=0)
@@ -389,9 +357,11 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="direct-image identities")
     verify_sub = verify.add_subparsers(dest="target", required=True)
     grr = verify_sub.add_parser("grr", parents=[common], help="residual report")
-    grr.add_argument("--dim", type=int, required=True)
-    grr.add_argument("--immersion", type=int, default=None, metavar="M")
-    grr.add_argument("--twist", type=int, default=0)
+    grr.add_argument("--dim", type=int, required=True, help=f"n, 0..{MAX_GRR_DIM}")
+    grr.add_argument(
+        "--immersion", type=int, default=None, metavar="M", help="source P^M, 0..n"
+    )
+    grr.add_argument("--twist", type=int, default=0, help=_TWIST_HELP)
     grr.set_defaults(handler=_cmd_verify_grr)
     twist_law = verify_sub.add_parser("twist-law", parents=[common])
     twist_law.add_argument(
@@ -403,17 +373,23 @@ def _build_parser() -> argparse.ArgumentParser:
     twist_law.set_defaults(handler=_cmd_verify_twist_law)
 
     diagonal = sub.add_parser("diagonal", parents=[common], help="diagonal class")
-    diagonal.add_argument("--dim", type=int, required=True)
+    diagonal.add_argument(
+        "--dim", type=int, required=True, help=f"n, 0..{MAX_DIAGONAL_DIM}"
+    )
     diagonal.add_argument("--theory", choices=("chow", "k"), default="chow")
     diagonal.set_defaults(handler=_cmd_diagonal)
 
     adjunction = sub.add_parser("adjunction", parents=[common])
-    adjunction.add_argument("--dim", type=int, default=2)
+    adjunction.add_argument(
+        "--dim", type=int, default=2, help=f"ambient n, 2..{MAX_ADJUNCTION_DIM}"
+    )
     adjunction.add_argument("--deg", type=int, required=True)
     adjunction.set_defaults(handler=_cmd_adjunction)
 
     sheaf = sub.add_parser("sheaf-chern", parents=[common])
-    sheaf.add_argument("--codim", type=int, required=True)
+    sheaf.add_argument(
+        "--codim", type=int, required=True, help=f"codimension, 1..{MAX_SHEAF_CODIM}"
+    )
     sheaf.set_defaults(handler=_cmd_sheaf_chern)
 
     zeuthen = sub.add_parser("zeuthen", parents=[common])
@@ -439,16 +415,15 @@ def run(argv) -> int:
     except SystemExit as stop:
         return stop.code if isinstance(stop.code, int) else 2
     command = " ".join(filter(None, (args.command, getattr(args, "target", None))))
+    inputs = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in _NOT_INPUTS and value is not None
+    }
     try:
-        result = args.handler(args)
+        outputs, passed = args.handler(args)
     except (GRRMismatch, NonIntegerChi, SolverInconsistent) as failure:
-        # Rebuild what the handler would have reported: full subcommand, inputs.
-        inputs = {
-            key: value
-            for key, value in vars(args).items()
-            if key not in _NOT_INPUTS and value is not None
-        }
-        result = CommandResult(command, inputs, {"error": str(failure)}, False)
+        outputs, passed = {"error": str(failure)}, False
     except _INTERNAL_FAULTS as fault:
         print(
             f"error: internal fault in {command}: {type(fault).__name__}: {fault}",
@@ -458,8 +433,8 @@ def run(argv) -> int:
     except ValueError as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2
-    print(_render(result, args.format))
-    return 0 if result.passed is not False else 1
+    print(_render(CommandResult(command, inputs, outputs, passed), args.format))
+    return 0 if passed is not False else 1
 
 
 def main(argv=None) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .bundles import BundleClass, multiplicative_extension
+from .bundles import BundleClass, multiplicative_extension, whitney_difference
 from .rings import (
     INTEGERS,
     RATIONALS,
@@ -160,8 +160,7 @@ def tangent_class(theory: TheoryModel, n: int) -> BundleClass:
     O(1) minus a trivial line, and g is the theory's first Chern class
     of O(1) in either model, so one formula serves both.
     """
-    spec = ring_of(theory, (n,))
-    return BundleClass(n, (spec.one() + spec.generator(0)) ** (n + 1))
+    return space_tangent(theory, (n,))
 
 
 def space_tangent(theory: TheoryModel, dims) -> BundleClass:
@@ -176,37 +175,34 @@ def space_tangent(theory: TheoryModel, dims) -> BundleClass:
 
 @dataclass(frozen=True)
 class Morphism:
-    """A supported map f: source -> target, acting on one factor.
+    """A supported map f: source -> target, as a shape valid in every theory.
 
-    `virtual_tangent` is T_f = T_Y - f*T_X in the source ring of the
-    theory the descriptor was built for; the twisted pushforward is the
-    only consumer.
+    f acts on factor `factor` and is the identity on the others.  A
+    linear immersion keeps the factor count and enlarges the acted
+    factor; a projection drops it.  Nothing here belongs to a theory, so
+    one descriptor serves K(X), CH(X) tensor Q and every twist of them.
     """
 
-    kind: str
     source: Dims
     target: Dims
     factor: int
-    virtual_tangent: BundleClass
+
+    @property
+    def is_immersion(self) -> bool:
+        return len(self.target) == len(self.source)
 
 
 def point_projection(theory: TheoryModel, n: int) -> Morphism:
-    """p: P^n -> point."""
-    return Morphism(
-        "point_projection", (n,), (), 0, tangent_class(theory, n)
-    )
+    """p: P^n -> point, the one-factor projection; `theory` does not shape it."""
+    return factor_projection(theory, (n,), 0)
 
 
 def factor_projection(theory: TheoryModel, dims, which: int) -> Morphism:
-    """Collapse factor `which` of a product; identity on the others."""
+    """Collapse factor `which` of a product; `theory` does not shape the result."""
     dims = _dims(dims)
     if not 0 <= which < len(dims):
         raise ValueError(f"no factor {which} in {dims}")
-    spec = ring_of(theory, dims)
-    d = dims[which]
-    tangent = BundleClass(d, (spec.one() + spec.generator(which)) ** (d + 1))
-    target = dims[:which] + dims[which + 1 :]
-    return Morphism("factor_projection", dims, target, which, tangent)
+    return Morphism(dims, dims[:which] + dims[which + 1 :], which)
 
 
 def linear_immersion(
@@ -215,8 +211,8 @@ def linear_immersion(
     """i: P^m into P^n, linearly, on one factor of a product.
 
     `within` gives the source factor dimensions (default just (m,)); the
-    target replaces factor `factor` by n.  The virtual tangent is minus
-    the normal bundle: -(n - m) copies of O(1) on the embedded factor.
+    target replaces factor `factor` by n.  `theory` does not shape the
+    descriptor, which serves every theory.
     """
     source = _dims(within) if within is not None else (m,)
     if not 0 <= factor < len(source):
@@ -225,27 +221,29 @@ def linear_immersion(
         raise ValueError(f"factor {factor} of {source} is not {m}")
     if m > n:
         raise ValueError("an immersion cannot lower the dimension")
-    spec = ring_of(theory, source)
-    codim = n - m
-    normal_inverse = ((spec.one() + spec.generator(factor)) ** codim).inverse()
-    tangent = BundleClass(-codim, normal_inverse)
-    target = source[:factor] + (n,) + source[factor + 1 :]
-    return Morphism("linear_immersion", source, target, factor, tangent)
+    return Morphism(source, source[:factor] + (n,) + source[factor + 1 :], factor)
+
+
+def relative_tangent(theory: TheoryModel, f: Morphism) -> BundleClass:
+    """T_f = T_source - f^*T_target, in the theory's source ring of f."""
+    target = space_tangent(theory, f.target)
+    pulled = BundleClass(target.rank, pullback(theory, f, target.total_chern))
+    return whitney_difference(space_tangent(theory, f.source), pulled)
 
 
 def pullback(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement:
     """f^*: substitution on generators, from the target ring to the source."""
     if a.spec != ring_of(theory, f.target):
-        raise SpecMismatch(f"{a.spec} is not the target ring of {f.kind}")
+        raise SpecMismatch(f"{a.spec} is not the target ring of {f}")
     source_spec = ring_of(theory, f.source)
     table: dict[tuple[int, ...], Scalar] = {}
-    if f.kind == "linear_immersion":
-        bound = f.source[f.factor]
+    j = f.factor
+    if f.is_immersion:
+        bound = f.source[j]
         for exps, c in a.terms.items():
-            if exps[f.factor] <= bound:  # higher powers restrict to zero
+            if exps[j] <= bound:  # higher powers restrict to zero
                 table[exps] = c
     else:
-        j = f.factor
         for exps, c in a.terms.items():
             table[exps[:j] + (0,) + exps[j:]] = c
     return source_spec.element(table)
@@ -256,18 +254,19 @@ def pushforward(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement
 
     * linear immersion P^m in P^n: x^r |-> x^(r + n - m);
     * projections: x^r |-> beta^(top - r) on the collapsed generator;
-    * twisted theory: untwisted pushforward of F_x(T_f)^(-1) * a.
+    * twisted theory: untwisted pushforward of F_x(T_f)^(-1) * a, with
+      T_f = relative_tangent(theory, f).
     """
     if a.spec != ring_of(theory, f.source):
-        raise SpecMismatch(f"{a.spec} is not the source ring of {f.kind}")
+        raise SpecMismatch(f"{a.spec} is not the source ring of {f}")
     if theory.twist is not None:
-        correction = multiplicative_extension(theory.twist, f.virtual_tangent)
+        correction = multiplicative_extension(theory.twist, relative_tangent(theory, f))
         carrier = TheoryModel(theory.beta, RATIONALS)
         return pushforward(carrier, f, correction.inverse() * a)
     target_spec = ring_of(theory, f.target)
     table: dict[tuple[int, ...], Scalar] = {}
     j = f.factor
-    if f.kind == "linear_immersion":
+    if f.is_immersion:
         shift = f.target[j] - f.source[j]
         for exps, c in a.terms.items():
             table[exps[:j] + (exps[j] + shift,) + exps[j + 1 :]] = c

@@ -8,7 +8,6 @@ extensions can be checked against literal sums and products of F(root).
 
 import random
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
@@ -29,7 +28,6 @@ from rrcalc.bundles import (
     whitney_sum,
 )
 from rrcalc.rings import (
-    INTEGERS,
     RATIONALS,
     IntegerDomain,
     RingSpec,

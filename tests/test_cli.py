@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+from itertools import takewhile
 
 import pytest
 
@@ -218,6 +219,52 @@ def test_order_outside_its_bound_is_a_usage_error(capsys, command, name):
     code, out, _ = invoke(capsys, command, "--help")
     assert code == 0
     assert f"0..{bound}" in out
+
+
+def test_chern_names_are_reported_normalised(capsys):
+    code, out, _ = invoke(capsys, "ch", "--chern", " c1 , c2")
+    assert code == 0
+    assert "input chern = c1,c2\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag, low, name",
+    [
+        (("chi", "pn"), "--dim", 0, "MAX_CHI_PN_DIM"),
+        (("chi", "pn", "--dim", "1"), "--twist", None, "MAX_TWIST"),
+        (("verify", "grr"), "--dim", 0, "MAX_GRR_DIM"),
+        (("verify", "grr", "--dim", "1"), "--twist", None, "MAX_TWIST"),
+        (("diagonal",), "--dim", 0, "MAX_DIAGONAL_DIM"),
+        (("adjunction", "--deg", "3"), "--dim", 2, "MAX_ADJUNCTION_DIM"),
+        (("sheaf-chern",), "--codim", 1, "MAX_SHEAF_CODIM"),
+    ],
+    ids=["chi-pn-dim", "chi-pn-twist", "grr-dim", "grr-twist", "diagonal-dim",
+         "adjunction-dim", "sheaf-chern-codim"],
+)
+def test_size_outside_its_bound_is_a_usage_error(capsys, argv, flag, low, name):
+    high = getattr(cli, name)
+    low = -high if low is None else low
+    for value in (low - 1, high + 1):
+        code, out, err = invoke(capsys, *argv, flag, str(value))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be in {low}..{high}, got {value}\n"
+    command = takewhile(lambda word: not word.startswith("-"), argv)
+    code, out, _ = invoke(capsys, *command, "--help")
+    assert code == 0
+    assert f"{low}..{high}" in out
+
+
+def test_chern_symbol_count_outside_its_bound_is_a_usage_error(capsys):
+    bound = cli.MAX_CH_SYMBOLS
+    names = ",".join(f"c{i}" for i in range(1, bound + 2))
+    code, out, err = invoke(capsys, "ch", "--chern", names)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --chern symbol count must be in 1..{bound}, got {bound + 1}\n"
+    code, out, _ = invoke(capsys, "ch", "--help")
+    assert code == 0
+    assert f"1..{bound}" in out
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,13 @@
 
 sympy's `rs_series_reversion` finds the inverse by successive
 substitution, a different route from the Lagrange inversion in
-`TruncatedSeries.reversion`.  The Todd and exponential-deficit series
-are checked against sympy's own `series`, and the abstract Chern-symbol
-rows against sums and products over literal roots, rewritten in the
-elementary symmetric functions by `symmetrize`.  Skipped where sympy is
-not installed.
+`TruncatedSeries.reversion`.  `compose` (Horner at the truncation
+order) is checked against sympy's full polynomial composition, cut at
+that order.  The Todd and exponential-deficit series are checked
+against sympy's own `series`, and the abstract Chern-symbol rows
+against sums and products over literal roots, rewritten in the
+elementary symmetric functions by `symmetrize`.  Skipped where sympy
+is not installed.
 """
 
 import functools
@@ -72,6 +74,28 @@ def as_fractions(expression, order: int) -> TruncatedSeries:
         Fraction(int(c.p), int(c.q))
         for c in (expression.coeff(x, k) for k in range(order + 1))
     )
+
+
+def as_poly(series: TruncatedSeries) -> sympy.Poly:
+    coefficients = [QQ(c.numerator, c.denominator) for c in reversed(series.coefficients)]
+    return sympy.Poly(coefficients, x, domain=QQ)
+
+
+def random_coefficients(rng: random.Random, count: int) -> list:
+    return [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(count)]
+
+
+def test_compose_matches_sympy_on_random_series():
+    rng = random.Random(1957)
+    for _ in range(16):
+        outer = TruncatedSeries(random_coefficients(rng, rng.randint(1, 21)))
+        inner = TruncatedSeries([0] + random_coefficients(rng, rng.randint(0, 20)))
+        order = min(outer.order, inner.order)
+        expanded = as_poly(outer).compose(as_poly(inner)).all_coeffs()[::-1]
+        expected = TruncatedSeries(
+            (Fraction(int(c.p), int(c.q)) for c in expanded[: order + 1]), order
+        )
+        assert outer.compose(inner) == expected
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Tests for the theory models: laws, morphisms, twisting, duality."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,10 @@ from rrcalc import (
     CHOW,
     CHOW_Q,
     K_THEORY,
+    BundleClass,
     FiltrationViolation,
     GKClass,
+    Morphism,
     NonUnitConstant,
     RingSpec,
     SpecMismatch,
@@ -24,6 +27,7 @@ from rrcalc import (
     point_projection,
     pullback,
     pushforward,
+    relative_tangent,
     ring_of,
     space_tangent,
     tangent_class,
@@ -327,10 +331,22 @@ def test_morphism_factories_validate():
 def test_pushforward_and_pullback_reject_wrong_rings():
     f = linear_immersion(CHOW, 1, 3)
     wrong = ring_of(CHOW, (2,)).one()
-    with pytest.raises(SpecMismatch):
+    shape = r"source=\(1,\), target=\(3,\), factor=0"
+    with pytest.raises(SpecMismatch, match=shape):
         pushforward(CHOW, f, wrong)
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(SpecMismatch, match=shape):
         pullback(CHOW, f, wrong)
+
+
+def test_a_descriptor_is_a_shape_shared_by_every_theory():
+    assert [field.name for field in fields(Morphism)] == ["source", "target", "factor"]
+    twisted = exp_deficit_twist(8)
+    for theory in (CHOW, K_THEORY, CHOW_Q, twisted):
+        assert point_projection(theory, 2) == Morphism((2,), (), 0)
+        assert point_projection(theory, 2) == factor_projection(theory, (2,), 0)
+        assert factor_projection(theory, (1, 2), 1) == Morphism((1, 2), (1,), 1)
+        immersion = linear_immersion(theory, 1, 3, within=(2, 1), factor=1)
+        assert immersion == Morphism((2, 1), (2, 3), 1)
 
 
 def test_immersion_on_a_product_factor():
@@ -367,6 +383,52 @@ def test_twisted_point_pushforward_is_the_todd_integral():
         p = point_projection(tw, n)
         one = ring_of(tw, (n,)).one()
         assert pushforward(tw, p, one) == ring_of(tw, ()).one()
+
+
+def test_twisted_factor_projection_integrates_to_one():
+    # Over the deficit twist every collapsed P^d integrates 1 to 1, as
+    # the point projection does: p_*(1) is the Todd integral of P^d.
+    tw = twist_theory(CHOW, exp_deficit_series(12))
+    for dims, which in (((1, 2), 1), ((2, 2), 0), ((1, 1, 2), 2)):
+        p = factor_projection(tw, dims, which)
+        assert pushforward(tw, p, ring_of(tw, dims).one()) == ring_of(tw, p.target).one()
+
+
+@pytest.mark.parametrize("base", [CHOW, K_THEORY], ids=["chow", "ktheory"])
+def test_twisted_pushforward_ignores_the_descriptor_theory(base):
+    # A descriptor built with any theory pushes forward like one built
+    # with the twisted theory itself: T_f comes from the theory that pushes.
+    tw = twist_theory(base, exp_deficit_series(8))
+    x = ring_of(tw, (2,)).generator(0)
+    point = pushforward(tw, point_projection(tw, 2), x)
+    immersion = pushforward(tw, linear_immersion(tw, 2, 3), x)
+    for theory in (CHOW, K_THEORY, CHOW_Q):
+        assert pushforward(tw, point_projection(theory, 2), x) == point
+        assert pushforward(tw, linear_immersion(theory, 2, 3), x) == immersion
+    if base is CHOW:
+        assert point == ring_of(tw, ()).scalar(Fraction(3, 2))
+    else:
+        y = ring_of(tw, (3,)).generator(0)
+        assert immersion == y**2 - Fraction(1, 2) * y**3
+
+
+@pytest.mark.parametrize(
+    "theory", [CHOW, K_THEORY, exp_deficit_twist(6)], ids=["chow", "ktheory", "twisted"]
+)
+def test_relative_tangent_matches_the_closed_forms(theory):
+    # Immersion of P^m in P^n on factor j: -(n - m) copies of O(1) there.
+    # Collapsing P^d on factor j: the tangent (1 + g_j)^(d + 1) of P^d.
+    for dims in ((0,), (1,), (3,), (1, 2), (2, 0, 1)):
+        spec = ring_of(theory, dims)
+        for j, d in enumerate(dims):
+            line = spec.one() + spec.generator(j)
+            collapse = factor_projection(theory, dims, j)
+            expected = BundleClass(d, line ** (d + 1))
+            assert relative_tangent(theory, collapse) == expected
+            for codim in range(3):
+                f = linear_immersion(theory, d, d + codim, within=dims, factor=j)
+                expected = BundleClass(-codim, (line**codim).inverse())
+                assert relative_tangent(theory, f) == expected
 
 
 # ---------------------------------------------------------------- universal morphism
