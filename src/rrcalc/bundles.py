@@ -190,7 +190,9 @@ def todd_class(e: BundleClass) -> RingElement:
 
 def _symbol_bundle(rank: int, symbols: Sequence[str], order: int) -> BundleClass:
     # The universal bundle: total Chern class 1 + c_1 + ... + c_m, with c_i
-    # of weight i, in a ring truncated above weight `order`.
+    # of weight i, in a ring truncated above weight `order`.  A symbol of
+    # weight above the order is zero there, so it gets no generator.
+    symbols = symbols[:order]
     weights = tuple(range(1, len(symbols) + 1))
     bounds = tuple(order // w for w in weights)
     spec = RingSpec(tuple(symbols), bounds, RATIONALS, weights, order)

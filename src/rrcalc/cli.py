@@ -61,29 +61,36 @@ from .theories import (
     twist_theory,
 )
 
-# Highest `verify twist-law --order`: about 6 s on a 2.1 GHz Xeon, and the
-# cost grows roughly like order^4 beyond it.
+# Highest `verify twist-law --order`: about 0.5 s on a 2.1 GHz Xeon; 32 takes
+# 0.7 s and 40 1.7 s, roughly order^4.
 MAX_TWIST_LAW_ORDER = 28
-# Highest `ch --order`: about 4 s with as many symbols as the order (34: 6 s).
+# Highest `ch --order`: 2-4 s with as many symbols as the order (34: 5 s).
 MAX_CH_ORDER = 32
 # Highest `todd --order`: about 3 s; 600 takes 5 s and 1000 about 30 s.
 MAX_TODD_ORDER = 500
-# Most `ch --chern` symbols: about 5.4 s at `--order 32` (64 symbols: 6.8 s).
+# Most `ch --chern` symbols.  Symbols past --order get no generator, so 48
+# symbols cost what 32 do at `--order 32`.
 MAX_CH_SYMBOLS = 48
-# Largest |--twist| of `chi pn` and `verify grr`: adds about 1 s at the
-# largest --dim; twists of 10^100 take 1 s on P^20 and 10^1000 over 40 s.
+# Largest |--twist| of `chi pn` and `verify grr`: adds under 0.1 s at the
+# largest --dim; twists of 10^100 take 0.4 s on P^20 and 10^1000 over 90 s.
 MAX_TWIST = 10**6
 # Highest --dim per command, with its time at the bound and one step up:
-# chi pn 3.6 s (100: 7.8 s); verify grr 3.5 s with --immersion 59 (70: 4.8 s,
-# 80: 8.5 s); diagonal 3.5 s (240: 5.2 s); adjunction 2.7 s (100: 5.1 s).
+# chi pn 0.6 s (100: 1.1 s); verify grr 0.6 s with --immersion 59 (70 and 80:
+# 0.8 s); diagonal 3.5 s (240: 5.2 s); adjunction 0.3 s (100: 0.8 s).
 MAX_CHI_PN_DIM = 80
 MAX_GRR_DIM = 60
 MAX_DIAGONAL_DIM = 200
 MAX_ADJUNCTION_DIM = 80
 # Highest `sheaf-chern --codim`: about 1.4 s; 384 takes 3.9 s, 512 5.7 s.
 MAX_SHEAF_CODIM = 256
+# Largest |value| of the plain-number flags (ranks, degrees, genus,
+# intersection numbers, lengths).  Their outputs are polynomials of low
+# degree in them, so every printed integer stays far below the 4300 digits
+# that str() of an int accepts; `adjunction --deg` at --dim 80 takes 0.3 s.
+MAX_NUMBER = 10**6
 
 _TWIST_HELP = f"d of the line bundle O(d), -{MAX_TWIST}..{MAX_TWIST}"
+_NUMBER_HELP = f"-{MAX_NUMBER}..{MAX_NUMBER}"
 
 # Library invariant checks; reaching one from the CLI is a bug (exit 3).
 _INTERNAL_FAULTS = (
@@ -177,6 +184,12 @@ def _check_bound(flag: str, value: int, low: int, high: int):
         raise ValueError(f"{flag} must be in {low}..{high}, got {value}")
 
 
+def _check_numbers(args, *flags: str, low: int = -MAX_NUMBER):
+    """Bound plain-number flags by MAX_NUMBER: each `--flag` reads args.flag."""
+    for flag in flags:
+        _check_bound(flag, getattr(args, flag[2:]), low, MAX_NUMBER)
+
+
 def _symbol_list(text: str) -> str:
     """--chern with the blanks around each name and the empty names dropped."""
     return ",".join(name.strip() for name in text.split(",") if name.strip())
@@ -201,6 +214,7 @@ def _cmd_ch(args) -> Outcome:
             raise ValueError(f"{name!r} is not a usable symbol name")
     _check_bound("--chern symbol count", len(names), 1, MAX_CH_SYMBOLS)
     _check_bound("--order", args.order, 0, MAX_CH_ORDER)
+    _check_numbers(args, "--rank")
     rows = character_rows(args.rank, names, args.order)
     return {"rows": [str(row) for row in rows]}, None
 
@@ -212,11 +226,14 @@ def _cmd_chi_pn(args) -> Outcome:
 
 
 def _cmd_chi_curve(args) -> Outcome:
+    _check_numbers(args, "--genus", low=0)
+    _check_numbers(args, "--rank", "--deg")
     chi = chi_curve(AbstractCurve(args.genus), CurveBundle(args.rank, args.deg))
     return {"chi": chi}, True
 
 
 def _cmd_chi_surface(args) -> Outcome:
+    _check_numbers(args, "--k2", "--chitop", "--rank", "--c1k", "--c1sq", "--c2")
     surface = AbstractSurface(args.k2, args.chitop)
     bundle = SurfaceBundle(args.rank, args.c1k, args.c1sq, args.c2)
     return {"chi": chi_surface(surface, bundle)}, True
@@ -229,6 +246,7 @@ def _cmd_verify_grr(args) -> Outcome:
         f = point_projection(K_THEORY, args.dim)
         source_dim = args.dim
     else:
+        _check_bound("--immersion", args.immersion, 0, args.dim)
         f = linear_immersion(K_THEORY, args.immersion, args.dim)
         source_dim = args.immersion
     residual = verify_grr(source_dim, f, k_line_class(source_dim, args.twist))
@@ -266,6 +284,7 @@ def _cmd_diagonal(args) -> Outcome:
 
 def _cmd_adjunction(args) -> Outcome:
     _check_bound("--dim", args.dim, 2, MAX_ADJUNCTION_DIM)
+    _check_numbers(args, "--deg", low=1)
     degree = canonical_degree_hypersurface(args.dim, args.deg)
     residual = hypersurface_grr_identity(args.dim, args.deg)
     outputs = {
@@ -288,6 +307,8 @@ def _cmd_sheaf_chern(args) -> Outcome:
 
 
 def _cmd_zeuthen(args) -> Outcome:
+    _check_numbers(args, "--dk", "--d2")
+    _check_numbers(args, "--lengths", low=0)
     value = zeuthen_segre(FormSingularityData(args.dk, args.d2, args.lengths))
     return {"c2_degree": value}, None
 
@@ -324,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ch = sub.add_parser(
         "ch", parents=[common], help="Chern character in abstract symbols"
     )
-    ch.add_argument("--rank", type=int, default=0)
+    ch.add_argument("--rank", type=int, default=0, help=_NUMBER_HELP)
     ch.add_argument(
         "--chern",
         type=_symbol_list,
@@ -341,17 +362,17 @@ def _build_parser() -> argparse.ArgumentParser:
     chi_pn.add_argument("--twist", type=int, default=0, help=_TWIST_HELP)
     chi_pn.set_defaults(handler=_cmd_chi_pn)
     chi_curve_p = chi_sub.add_parser("curve", parents=[common])
-    chi_curve_p.add_argument("--genus", type=int, default=0)
-    chi_curve_p.add_argument("--rank", type=int, default=1)
-    chi_curve_p.add_argument("--deg", type=int, default=0)
+    chi_curve_p.add_argument("--genus", type=int, default=0, help=f"0..{MAX_NUMBER}")
+    chi_curve_p.add_argument("--rank", type=int, default=1, help=_NUMBER_HELP)
+    chi_curve_p.add_argument("--deg", type=int, default=0, help=_NUMBER_HELP)
     chi_curve_p.set_defaults(handler=_cmd_chi_curve)
     chi_surface_p = chi_sub.add_parser("surface", parents=[common])
-    chi_surface_p.add_argument("--k2", type=int, default=0)
-    chi_surface_p.add_argument("--chitop", type=int, default=0)
-    chi_surface_p.add_argument("--rank", type=int, default=1)
-    chi_surface_p.add_argument("--c1k", type=int, default=0)
-    chi_surface_p.add_argument("--c1sq", type=int, default=0)
-    chi_surface_p.add_argument("--c2", type=int, default=0)
+    chi_surface_p.add_argument("--k2", type=int, default=0, help=_NUMBER_HELP)
+    chi_surface_p.add_argument("--chitop", type=int, default=0, help=_NUMBER_HELP)
+    chi_surface_p.add_argument("--rank", type=int, default=1, help=_NUMBER_HELP)
+    chi_surface_p.add_argument("--c1k", type=int, default=0, help=_NUMBER_HELP)
+    chi_surface_p.add_argument("--c1sq", type=int, default=0, help=_NUMBER_HELP)
+    chi_surface_p.add_argument("--c2", type=int, default=0, help=_NUMBER_HELP)
     chi_surface_p.set_defaults(handler=_cmd_chi_surface)
 
     verify = sub.add_parser("verify", help="direct-image identities")
@@ -383,7 +404,9 @@ def _build_parser() -> argparse.ArgumentParser:
     adjunction.add_argument(
         "--dim", type=int, default=2, help=f"ambient n, 2..{MAX_ADJUNCTION_DIM}"
     )
-    adjunction.add_argument("--deg", type=int, required=True)
+    adjunction.add_argument(
+        "--deg", type=int, required=True, help=f"hypersurface degree, 1..{MAX_NUMBER}"
+    )
     adjunction.set_defaults(handler=_cmd_adjunction)
 
     sheaf = sub.add_parser("sheaf-chern", parents=[common])
@@ -393,9 +416,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sheaf.set_defaults(handler=_cmd_sheaf_chern)
 
     zeuthen = sub.add_parser("zeuthen", parents=[common])
-    zeuthen.add_argument("--dk", type=int, default=0)
-    zeuthen.add_argument("--d2", type=int, default=0)
-    zeuthen.add_argument("--lengths", type=int, default=0)
+    zeuthen.add_argument("--dk", type=int, default=0, help=_NUMBER_HELP)
+    zeuthen.add_argument("--d2", type=int, default=0, help=_NUMBER_HELP)
+    zeuthen.add_argument("--lengths", type=int, default=0, help=f"0..{MAX_NUMBER}")
     zeuthen.set_defaults(handler=_cmd_zeuthen)
 
     suite = sub.add_parser("suite", parents=[common], help="run all acceptance checks")

@@ -4,7 +4,9 @@ Chow rings and K-theory rings of products of projective spaces have
 exactly this shape, with one degree-1 generator per factor.  Elements are
 stored sparsely as {exponent vector: coefficient}; multiplication drops
 any monomial whose exponent overflows its bound, which is the whole
-content of the quotient.  Scalars are exact integers or exact rationals,
+content of the quotient.  Products run on integers: each exponent vector
+is packed into one int and each operand is scaled to integer numerators
+over one common denominator.  Scalars are exact integers or exact rationals,
 fixed once per ring.
 Generators may carry weights, and a ring may cap the weighted degree:
 abstract Chern symbols c_i have weight i, truncated above an order.
@@ -15,10 +17,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import mul
+from functools import cached_property
+from operator import lshift, mul
 from typing import Iterable, Mapping, Union
 
-from .series import TruncatedSeries
+from .series import TruncatedSeries, common_denominator
 
 INTEGERS = "integers"
 RATIONALS = "rationals"
@@ -167,6 +170,28 @@ class RingSpec:
             return self
         return replace(self, scalars=RATIONALS)
 
+    @cached_property
+    def _packing(self) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+        """(shifts, masks, offset, guard) for exponent vectors packed in one int.
+
+        Variable i gets a slot of k + 1 bits, k = bounds[i].bit_length(),
+        whose top bit is a guard.  Two exponents <= d sum to at most
+        2^(k+1) - 2, so packed keys add slot by slot without carries; and
+        adding the offset 2^k - 1 - d to a slot sets its guard bit exactly
+        when the sum exceeds d.  cached_property writes the instance
+        __dict__ directly, so it works on the frozen dataclass and stays
+        out of ==, hash and repr.
+        """
+        shifts, masks, offset, guard, shift = [], [], 0, 0, 0
+        for d in self.bounds:
+            k = d.bit_length()
+            shifts.append(shift)
+            masks.append((1 << k) - 1)
+            offset |= ((1 << k) - 1 - d) << shift
+            guard |= 1 << (shift + k)
+            shift += k + 1
+        return tuple(shifts), tuple(masks), offset, guard
+
 
 def _render_key(exponents: Exponents):
     # Graded order first; within a degree, larger leading exponents first,
@@ -261,19 +286,31 @@ class RingElement:
         if not isinstance(other, RingElement):
             return NotImplemented
         self._require_same_spec(other)
-        bounds = self.spec.bounds
+        if not (self.terms and other.terms):
+            # Frequent in Newton's recursions; skips the packing set-up.
+            return _raw(self.spec, {})
+        shifts, masks, offset, guard = self.spec._packing
+        left, da = common_denominator(self.terms.values())
+        right, db = common_denominator(other.terms.values())
+        right = list(zip([sum(map(lshift, e, shifts)) for e in other.terms], right))
+        # Keys carry the offset, so a set guard bit means an overflowing
+        # exponent: by nilpotency that monomial is zero.
+        sums: dict[int, int] = {}
+        get = sums.get
+        for ea, na in zip(self.terms, left):
+            ka = sum(map(lshift, ea, shifts)) + offset
+            for kb, nb in right:
+                key = ka + kb
+                if not key & guard:
+                    sums[key] = get(key, 0) + na * nb
+        denominator = da * db
+        rational = self.spec.scalars == RATIONALS
         out: dict[Exponents, Scalar] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exponents = tuple(a + b for a, b in zip(ea, eb))
-                # Nilpotency: any overflowing monomial is zero.
-                if any(e > d for e, d in zip(exponents, bounds)):
-                    continue
-                acc = out.get(exponents, 0) + ca * cb
-                if acc == 0:
-                    out.pop(exponents, None)
-                else:
-                    out[exponents] = acc
+        for key, n in sums.items():
+            if n:
+                key -= offset
+                exponents = tuple((key >> s) & m for s, m in zip(shifts, masks))
+                out[exponents] = Fraction(n, denominator) if rational else n
         cap = self.spec.cap
         if cap is not None:
             weights = self.spec.weights

@@ -10,8 +10,8 @@ round-trips, and no coefficient is ever rounded.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Union
+from math import factorial, lcm
+from typing import Collection, Iterable, Union
 
 Rational = Fraction
 
@@ -28,6 +28,20 @@ class NonzeroInnerConstant(ValueError):
 
 class NotReversible(ValueError):
     """Reversion of a series without c0 = 0 and c1 invertible."""
+
+
+def common_denominator(values: Collection[Scalar]) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator D: values[i] = out[i] / D.
+
+    D is the lcm of the denominators, 1 for integers, so products of
+    values become integer products with one division left for the end.
+    """
+    # A pairwise loop: lcm(*generator) is slower on short inputs and left
+    # about 0.8 MB more in the tuple free lists over acceptance criterion 10.
+    denominator = 1
+    for v in values:
+        denominator = lcm(denominator, v.denominator)
+    return [v.numerator * (denominator // v.denominator) for v in values], denominator
 
 
 def _rational(value: Scalar) -> Fraction:
@@ -121,16 +135,18 @@ class TruncatedSeries:
             return TruncatedSeries([c * a for a in self.coefficients])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
+        # Convolution of integer numerators; one Fraction per coefficient.
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coefficients[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coefficients[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(out)
+        left, da = common_denominator(self.coefficients[: n + 1])
+        right, db = common_denominator(other.coefficients[: n + 1])
+        out = [0] * (n + 1)
+        for i, a in enumerate(left):
+            if a:
+                for j, b in enumerate(right[: n + 1 - i], i):
+                    if b:
+                        out[j] += a * b
+        denominator = da * db
+        return TruncatedSeries([Fraction(c, denominator) for c in out])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

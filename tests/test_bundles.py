@@ -238,3 +238,14 @@ def test_todd_rows_against_root_bundle():
                 term = term * e.chern_class(index + 1) ** power
             substituted = substituted + term
     assert substituted == todd_class(e)
+
+
+def test_symbols_above_the_order_get_no_generator():
+    many = tuple(f"c{i}" for i in range(1, 49))
+    for rows, few in (
+        (character_rows(3, many, 8), character_rows(3, many[:8], 8)),
+        (todd_rows(many, 8), todd_rows(many[:8], 8)),
+    ):
+        assert [str(row) for row in rows] == [str(row) for row in few]
+        assert rows[0].spec.variables == many[:8]
+    assert character_rows(3, many, 0)[0].spec.variables == ()

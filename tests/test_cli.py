@@ -268,6 +268,53 @@ def test_chern_symbol_count_outside_its_bound_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, flags, low",
+    [
+        (("ch",), ("--rank",), None),
+        (("chi", "curve"), ("--rank", "--deg"), None),
+        (("chi", "curve"), ("--genus",), 0),
+        (("chi", "surface"), ("--k2", "--chitop", "--rank", "--c1k", "--c1sq", "--c2"), None),
+        (("zeuthen",), ("--dk", "--d2"), None),
+        (("zeuthen",), ("--lengths",), 0),
+        (("adjunction",), ("--deg",), 1),
+    ],
+    ids=["ch-rank", "chi-curve", "chi-curve-genus", "chi-surface", "zeuthen",
+         "zeuthen-lengths", "adjunction-deg"],
+)
+def test_plain_number_outside_its_bound_is_a_usage_error(capsys, argv, flags, low):
+    high = cli.MAX_NUMBER
+    low = -high if low is None else low
+    for flag in flags:
+        for value in (low - 1, high + 1):
+            code, out, err = invoke(capsys, *argv, flag, str(value))
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {flag} must be in {low}..{high}, got {value}\n"
+    code, out, _ = invoke(capsys, *argv, "--help")
+    assert code == 0
+    assert f"{low}..{high}" in out
+
+
+def test_an_output_too_long_to_print_is_refused_by_its_input_bound(capsys):
+    # q(q - n - 1) of a 4001-digit degree has over 8000 digits, beyond what
+    # str() of an int accepts; the --deg bound refuses it before any work.
+    degree = "1" + "0" * 4000
+    code, out, err = invoke(capsys, "adjunction", "--dim", "3", "--deg", degree)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --deg must be in 1..")
+
+
+def test_immersion_outside_the_target_is_a_usage_error(capsys):
+    for value in (-1, 4):
+        argv = ("verify", "grr", "--dim", "3", "--immersion", str(value))
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --immersion must be in 0..3, got {value}\n"
+
+
+@pytest.mark.parametrize(
     "fault",
     [InsufficientOrder, NonNilpotentArgument, NotReversible, OutOfBounds, SpecMismatch],
     ids=lambda fault: fault.__name__,

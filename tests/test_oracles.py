@@ -7,8 +7,9 @@ order) is checked against sympy's full polynomial composition, cut at
 that order.  The Todd and exponential-deficit series are checked
 against sympy's own `series`, and the abstract Chern-symbol rows
 against sums and products over literal roots, rewritten in the
-elementary symmetric functions by `symmetrize`.  Skipped where sympy
-is not installed.
+elementary symmetric functions by `symmetrize`.  The twisted group laws
+are expanded as e(base(e^-1(u), e^-1(v))) in sympy's own polynomial
+ring.  Skipped where sympy is not installed.
 """
 
 import functools
@@ -27,6 +28,7 @@ from sympy.polys.rings import ring
 
 from rrcalc.bundles import character_rows, todd_rows
 from rrcalc.series import TruncatedSeries, exp_deficit_series, todd_series
+from rrcalc.theories import CHOW, K_THEORY, twist_theory
 
 R, t, y = ring("t, y", QQ)
 
@@ -147,3 +149,42 @@ def test_character_rows_match_the_sum_over_five_roots():
         # Five roots, so rank 5: row 0 is e^0 summed over the roots.
         rows = character_rows(5, tuple(map(str, CHERN)), order)
         assert [as_sympy(row) for row in rows] == expected[: order + 1]
+
+
+UV, u, v = ring("u, v", QQ)
+
+
+def sympy_twisted_law(twist: TruncatedSeries, beta: int, order: int) -> dict:
+    """e(x + y - beta*x*y) at x = e^-1(u), y = e^-1(v), e = t*F, cut at u, v <= order."""
+
+    def cut(p):
+        return UV({m: c for m, c in p.items() if max(m) <= order})
+
+    conjugator = twist.times_t()
+    inverse = sympy_reversion(conjugator).coefficients[: order + 1]
+
+    def inverse_at(g):
+        terms = (QQ(c.numerator, c.denominator) * g**k for k, c in enumerate(inverse))
+        return sum(terms, UV.zero)
+
+    a, b = inverse_at(u), inverse_at(v)
+    s = cut(a + b - beta * a * b)
+    law = UV.zero
+    for c in reversed(conjugator.coefficients):  # Horner, every step cut
+        law = cut(law * s) + QQ(c.numerator, c.denominator)
+    return {m: Fraction(int(c.numerator), int(c.denominator)) for m, c in law.items()}
+
+
+@pytest.mark.parametrize("base", [CHOW, K_THEORY], ids=["chow", "ktheory"])
+def test_twisted_group_law_matches_sympy(base):
+    rng = random.Random(1966 + base.beta)
+    for _ in range(12):
+        depth = rng.randint(1, 8)
+        twist = TruncatedSeries(
+            [Fraction(rng.choice([1, -1, 2, 3]), rng.randint(1, 4))]
+            + random_coefficients(rng, depth)
+        )
+        # e = t*F has order depth + 1, enough for law degrees up to 2*order.
+        order = rng.randint(1, (depth + 1) // 2)
+        law = twist_theory(base, twist).group_law(order)
+        assert law.terms == sympy_twisted_law(twist, base.beta, order)

@@ -286,3 +286,18 @@ def test_specs_differing_only_in_weights_are_unequal():
     assert plain != weighted != capped != plain
     with pytest.raises(SpecMismatch):
         plain.generator(0) * weighted.generator(0)
+
+
+@pytest.mark.parametrize("d", sorted({2**k + s for k in range(1, 8) for s in (-1, 0, 1)}))
+def test_guard_bit_keeps_exactly_the_monomials_within_the_bound(d):
+    # Products pack exponents into slots of d.bit_length() + 1 bits; d at and
+    # around a power of two moves the slot width.  x sits between two
+    # neighbours held at their own bound, so a carry out of its slot would
+    # show in w or y.
+    spec = RingSpec(("w", "x", "y"), (d, d, d))
+    for a in range(d + 1):
+        left = spec.element({(d, a, 0): 1})
+        for b in {0, d - a - 1, d - a, d - a + 1, d} & set(range(d + 1)):
+            product = left * spec.element({(0, b, d): 3})
+            expected = {(d, a + b, d): 3} if a + b <= d else {}
+            assert product.terms == expected, (d, a, b)
