@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .bundles import chern_from_character, todd_class
 from .rings import RingElement, SpecMismatch, eval_series
@@ -32,7 +33,6 @@ from .theories import (
     pushforward,
     ring_of,
     space_tangent,
-    tangent_class,
     universal_morphism,
 )
 
@@ -91,6 +91,15 @@ class FormSingularityData:
             raise ValueError("total singularity length must be >= 0")
 
 
+@lru_cache(maxsize=None)
+def _space_todd(dims: tuple[int, ...]) -> RingElement:
+    """Td(T_X) of X = P^d1 x ... x P^dk in CHOW_Q, computed once per shape.
+
+    Every caller shares the returned element, so it is never mutated.
+    """
+    return todd_class(space_tangent(CHOW_Q, dims))
+
+
 def verify_grr(n: int, f: Morphism, a: RingElement) -> RingElement:
     """The Riemann-Roch residual of (f, a), in the rational additive ring.
 
@@ -102,9 +111,8 @@ def verify_grr(n: int, f: Morphism, a: RingElement) -> RingElement:
     if sum(f.source) != n:
         raise SpecMismatch(f"source of {f} has dimension {sum(f.source)}, not {n}")
     direct = universal_morphism(pushforward(TheoryModel(1, a.spec.scalars), f, a))
-    source_density = todd_class(space_tangent(CHOW_Q, f.source)) * universal_morphism(a)
-    target_todd = todd_class(space_tangent(CHOW_Q, f.target))
-    corrected = target_todd.inverse() * pushforward(CHOW_Q, f, source_density)
+    source_density = _space_todd(f.source) * universal_morphism(a)
+    corrected = _space_todd(f.target).inverse() * pushforward(CHOW_Q, f, source_density)
     return direct - corrected
 
 
@@ -119,7 +127,7 @@ def euler_characteristic_pn(n: int, d: int) -> int:
     direct = pushforward(
         K_THEORY, point_projection(K_THEORY, n), bundle
     ).constant_term
-    density = todd_class(tangent_class(CHOW_Q, n)) * universal_morphism(bundle)
+    density = _space_todd((n,)) * universal_morphism(bundle)
     graded = pushforward(
         CHOW_Q, point_projection(CHOW_Q, n), density
     ).constant_term
@@ -194,7 +202,7 @@ def hypersurface_grr_identity(n: int, q: int) -> RingElement:
     h = spec.generator(0)
     hypersurface = q * h
     character = eval_series(exp_deficit_series(n).times_t(), hypersurface)
-    expansion = character * todd_class(tangent_class(CHOW_Q, n))
+    expansion = character * _space_todd((n,))
     truncated = sum(expansion.graded_components()[:3], spec.zero())
     canonical = -(n + 1) * h
     direct = hypersurface - Fraction(1, 2) * (

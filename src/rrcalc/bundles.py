@@ -170,9 +170,13 @@ def multiplicative_extension(series: TruncatedSeries, e: BundleClass) -> RingEle
         raise NonUnitConstant("multiplicative extension needs F(0) invertible")
     if e.spec.scalars != RATIONALS:
         raise IntegerDomain("multiplicative extensions work over rational scalars")
-    reduced = series * (Fraction(1) / c0)
-    gap = reduced - TruncatedSeries([1], reduced.order)
-    log_part = log_one_plus_series(reduced.order).compose(gap)
+    # Power sums stop at the ring's total degree, so the log is never read
+    # beyond it; a shorter series stays whole, and additive_extension
+    # raises InsufficientOrder if a nonzero power sum lies beyond it.
+    order = min(series.order, e.spec.total_degree)
+    reduced = series.truncated(order) * (Fraction(1) / c0)
+    gap = reduced - TruncatedSeries([1], order)
+    log_part = log_one_plus_series(order).compose(gap)
     exponent = additive_extension(log_part, e)
     value = eval_series(exponential_series(e.spec.total_degree), exponent)
     return value * (Fraction(c0) ** e.rank)

@@ -74,9 +74,11 @@ MAX_CH_SYMBOLS = 48
 # Largest |--twist| of `chi pn` and `verify grr`: adds under 0.1 s at the
 # largest --dim; twists of 10^100 take 0.4 s on P^20 and 10^1000 over 90 s.
 MAX_TWIST = 10**6
-# Highest --dim per command, with its time at the bound and one step up:
-# chi pn 0.6 s (100: 1.1 s); verify grr 0.6 s with --immersion 59 (70 and 80:
-# 0.8 s); diagonal 3.5 s (240: 5.2 s); adjunction 0.3 s (100: 0.8 s).
+# Highest --dim per command, with its time at the bound and one step up, for
+# one process including about 0.2 s of interpreter start and imports:
+# chi pn 0.6-0.75 s (100: 1.1 s); verify grr 0.55-0.65 s with --immersion 59
+# (70: 0.9 s, 80: 1.0 s); diagonal 3.5 s (240: 5.2 s); adjunction 0.45-0.6 s
+# (100: 0.8-1.0 s).
 MAX_CHI_PN_DIM = 80
 MAX_GRR_DIM = 60
 MAX_DIAGONAL_DIM = 200
@@ -86,7 +88,8 @@ MAX_SHEAF_CODIM = 256
 # Largest |value| of the plain-number flags (ranks, degrees, genus,
 # intersection numbers, lengths).  Their outputs are polynomials of low
 # degree in them, so every printed integer stays far below the 4300 digits
-# that str() of an int accepts; `adjunction --deg` at --dim 80 takes 0.3 s.
+# that str() of an int accepts; `adjunction --deg 1000000` at --dim 80 takes
+# 0.4-0.6 s, like the smallest degree.
 MAX_NUMBER = 10**6
 
 _TWIST_HELP = f"d of the line bundle O(d), -{MAX_TWIST}..{MAX_TWIST}"

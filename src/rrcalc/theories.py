@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .bundles import BundleClass, multiplicative_extension, whitney_difference
 from .rings import (
@@ -114,6 +114,12 @@ class TheoryModel:
         conjugator = self.twist.times_t()
         return conjugator, conjugator.reversion()
 
+    @cached_property
+    def _corrections(self) -> dict[Morphism, RingElement]:
+        # F_x(T_f)^(-1) per morphism, filled by the twisted pushforward.  The
+        # stored elements are shared, so they stay immutable by convention.
+        return {}
+
     def group_law(self, order: int) -> RingElement:
         """G(u, v) as an element of scalars[u, v]/(u^(order+1), v^(order+1))."""
         spec = RingSpec(("u", "v"), (order, order), self.scalars)
@@ -187,6 +193,12 @@ class Morphism:
     target: Dims
     factor: int
 
+    def __post_init__(self):
+        # Tuples of ints, so that a descriptor hashes and keys the
+        # per-morphism corrections of a twisted theory.
+        object.__setattr__(self, "source", _dims(self.source))
+        object.__setattr__(self, "target", _dims(self.target))
+
     @property
     def is_immersion(self) -> bool:
         return len(self.target) == len(self.source)
@@ -255,14 +267,18 @@ def pushforward(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement
     * linear immersion P^m in P^n: x^r |-> x^(r + n - m);
     * projections: x^r |-> beta^(top - r) on the collapsed generator;
     * twisted theory: untwisted pushforward of F_x(T_f)^(-1) * a, with
-      T_f = relative_tangent(theory, f).
+      T_f = relative_tangent(theory, f); the correction F_x(T_f)^(-1) is
+      computed once per theory and morphism.
     """
     if a.spec != ring_of(theory, f.source):
         raise SpecMismatch(f"{a.spec} is not the source ring of {f}")
     if theory.twist is not None:
-        correction = multiplicative_extension(theory.twist, relative_tangent(theory, f))
+        correction = theory._corrections.get(f)
+        if correction is None:
+            genus = multiplicative_extension(theory.twist, relative_tangent(theory, f))
+            correction = theory._corrections[f] = genus.inverse()
         carrier = TheoryModel(theory.beta, RATIONALS)
-        return pushforward(carrier, f, correction.inverse() * a)
+        return pushforward(carrier, f, correction * a)
     target_spec = ring_of(theory, f.target)
     table: dict[tuple[int, ...], Scalar] = {}
     j = f.factor
@@ -280,31 +296,47 @@ def pushforward(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement
     return target_spec.element(table)
 
 
+@lru_cache(maxsize=None)
+def _character_matrix(d: int) -> tuple[tuple[Fraction, ...], ...]:
+    """M[r][f] = [h^f] (1 - e^(-h))^r for 0 <= r, f <= d, the image of t^r on P^d.
+
+    Row r is the r-th power of one series truncated at order d, so the
+    table costs d series products, once per d.  M[r][f] = 0 for f < r.
+    """
+    image = exp_deficit_series(d).times_t().truncated(d)
+    row = TruncatedSeries([1], d)
+    rows = [row.coefficients]
+    for _ in range(d):
+        row = row * image
+        rows.append(row.coefficients)
+    return tuple(rows)
+
+
 def universal_morphism(a: RingElement) -> RingElement:
     """The ring morphism K(X) -> Chow(X) tensor Q with t_i |-> 1 - e^(-h_i).
 
     Well defined because (1 - e^(-h))^(n+1) = h^(n+1) * unit = 0 in the
     truncated ring; this is the Chern character on line-bundle classes.
+    Being a ring morphism fixed on generators, it is linear in each
+    factor's exponent: the coefficient table goes through the matrix of
+    `_character_matrix` one factor at a time, with no ring product.
     """
     dims = a.spec.bounds
     if a.spec.variables != _names("t", len(dims)):
         raise SpecMismatch(f"{a.spec} is not a K-theory ring")
-    target = ring_of(CHOW_Q, dims)
-    powers: list[list[RingElement]] = []
+    table: dict[tuple[int, ...], Scalar] = a.terms
     for i, d in enumerate(dims):
-        image = eval_series(exp_deficit_series(d).times_t(), target.generator(i))
-        row = [target.one()]
-        for _ in range(d):
-            row.append(row[-1] * image)
-        powers.append(row)
-    result = target.zero()
-    for exps, c in a.terms.items():
-        term = target.scalar(c)
-        for i, r in enumerate(exps):
-            if r:
-                term = term * powers[i][r]
-        result = result + term
-    return result
+        matrix = _character_matrix(d)
+        image: dict[tuple[int, ...], Scalar] = {}
+        for exps, c in table.items():
+            row = matrix[exps[i]]
+            head, tail = exps[:i], exps[i + 1 :]
+            for f in range(exps[i], d + 1):
+                if row[f]:
+                    key = head + (f,) + tail
+                    image[key] = image.get(key, 0) + c * row[f]
+        table = image
+    return ring_of(CHOW_Q, dims).element(table)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 
 from rrcalc import (
     CHOW,
+    CHOW_Q,
     K_THEORY,
     SIGN_NOTE,
     AbstractCurve,
@@ -20,17 +21,23 @@ from rrcalc import (
     chi_curve,
     chi_surface,
     euler_characteristic_pn,
+    exp_deficit_series,
     hypersurface_grr_identity,
     k_line_class,
     linear_immersion,
     point_projection,
     pushforward,
     ring_of,
+    space_tangent,
     structure_sheaf_chern,
+    todd_class,
+    twist_theory,
     universal_morphism,
     verify_grr,
     zeuthen_segre,
 )
+from rrcalc.acceptance import run_criterion
+from rrcalc.applications import _space_todd
 
 
 # ---------------------------------------------------------------- the residual
@@ -58,6 +65,26 @@ def test_grr_residual_vanishes_for_twisted_points():
         f = point_projection(K_THEORY, n)
         for d in range(-n - 1, n + 2):
             assert verify_grr(n, f, k_line_class(n, d)).is_zero()
+
+
+def test_cached_classes_are_unchanged_by_the_grr_grid():
+    # The cached Todd classes and twist corrections are shared elements;
+    # running criterion 3 twice must leave their terms as they were.
+    tw = twist_theory(CHOW_Q, exp_deficit_series(12))
+    f = linear_immersion(tw, 1, 3)
+    line = ring_of(tw, (1,)).generator(0)
+    pushforward(tw, f, line)
+    correction = tw._corrections[f]
+    todds = {dims: _space_todd(dims) for dims in ((3,), (5,), (6,))}
+    before = [dict(correction.terms)] + [dict(t.terms) for t in todds.values()]
+    for _ in range(2):
+        assert run_criterion(3).passed
+        pushforward(tw, f, line)
+    assert tw._corrections[f] is correction
+    for dims, todd in todds.items():
+        assert _space_todd(dims) is todd
+        assert todd == todd_class(space_tangent(CHOW_Q, dims))
+    assert [dict(correction.terms)] + [dict(t.terms) for t in todds.values()] == before
 
 
 def test_grr_checks_the_stated_dimension():

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from rrcalc import bundles
 from rrcalc.bundles import (
     BundleClass,
     RankMismatch,
@@ -29,11 +30,17 @@ from rrcalc.bundles import (
 )
 from rrcalc.rings import (
     RATIONALS,
+    InsufficientOrder,
     IntegerDomain,
     RingSpec,
     eval_series,
 )
-from rrcalc.series import TruncatedSeries, todd_series
+from rrcalc.series import (
+    TruncatedSeries,
+    exponential_series,
+    log_one_plus_series,
+    todd_series,
+)
 
 
 def _root_ring(count: int) -> RingSpec:
@@ -141,6 +148,69 @@ def test_multiplicative_extension_inverts_on_negative_rank():
         series, minus
     )
     assert product == spec.one()
+
+
+def _uncut_multiplicative_extension(series, e):
+    """F_x(E) with the Horner log taken at the series' full order."""
+    c0 = series[0]
+    reduced = series * (Fraction(1) / c0)
+    gap = reduced - TruncatedSeries([1], reduced.order)
+    log_part = log_one_plus_series(reduced.order).compose(gap)
+    exponent = additive_extension(log_part, e)
+    value = eval_series(exponential_series(e.spec.total_degree), exponent)
+    return value * Fraction(c0) ** e.rank
+
+
+def test_multiplicative_extension_matches_the_uncut_log():
+    rng = random.Random(77)
+    raised = 0
+    for _ in range(150):
+        width = rng.randint(1, 3)
+        names = tuple(chr(ord("a") + i) for i in range(width))
+        bounds = tuple(rng.randint(0, 4 // width) for _ in range(width))
+        spec = RingSpec(names, bounds, RATIONALS)
+        nilpotent = {
+            exps: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            for exps in spec.monomials()
+            if sum(exps) and rng.random() < 0.6
+        }
+        e = BundleClass(rng.randint(-3, 5), spec.one() + spec.element(nilpotent))
+        head = Fraction(rng.choice([1, -1, 2, 3]), rng.randint(1, 3))
+        order = rng.randint(0, 14)
+        tail = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(order)]
+        series = TruncatedSeries([head] + tail)
+        try:
+            expected = _uncut_multiplicative_extension(series, e)
+        except InsufficientOrder:
+            raised += 1
+            with pytest.raises(InsufficientOrder):
+                multiplicative_extension(series, e)
+            continue
+        assert multiplicative_extension(series, e) == expected
+    assert 0 < raised < 75  # both branches were exercised
+
+
+def test_a_series_shorter_than_a_power_sum_still_raises_insufficient_order():
+    # The tangent bundle of P^3 has p_2 = 4h^2, beyond an order-1 series.
+    spec = RingSpec(("h",), (3,), RATIONALS)
+    tangent = BundleClass(3, (spec.one() + spec.generator(0)) ** 4)
+    with pytest.raises(InsufficientOrder):
+        multiplicative_extension(TruncatedSeries([1, Fraction(1, 2)]), tangent)
+
+
+def test_the_genus_log_stops_at_the_ring_degree(monkeypatch):
+    orders = []
+
+    def recording(order):
+        orders.append(order)
+        return log_one_plus_series(order)
+
+    monkeypatch.setattr(bundles, "log_one_plus_series", recording)
+    spec = _root_ring(2)  # total degree 4
+    e = _bundle_from_roots(spec, (0, 1))
+    multiplicative_extension(todd_series(12), e)
+    multiplicative_extension(todd_series(3), BundleClass(1, spec.one() + spec.generator(0)))
+    assert orders == [4, 3]
 
 
 def test_chern_character_of_plane_tangent():

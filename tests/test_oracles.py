@@ -4,10 +4,11 @@ sympy's `rs_series_reversion` finds the inverse by successive
 substitution, a different route from the Lagrange inversion in
 `TruncatedSeries.reversion`.  `compose` (Horner at the truncation
 order) is checked against sympy's full polynomial composition, cut at
-that order.  The Todd and exponential-deficit series are checked
-against sympy's own `series`, and the abstract Chern-symbol rows
-against sums and products over literal roots, rewritten in the
-elementary symmetric functions by `symmetrize`.  The twisted group laws
+that order.  The Todd, exponential-deficit and log(1 + t) series are
+checked against sympy's own `series`, the Chern character matrix against
+sympy's Stirling numbers, and the abstract Chern-symbol rows against sums
+and products over literal roots, rewritten in the elementary symmetric
+functions by `symmetrize`.  The twisted group laws
 are expanded as e(base(e^-1(u), e^-1(v))) in sympy's own polynomial
 ring.  Skipped where sympy is not installed.
 """
@@ -15,6 +16,7 @@ ring.  Skipped where sympy is not installed.
 import functools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -27,7 +29,12 @@ from sympy.polys.ring_series import rs_series_reversion
 from sympy.polys.rings import ring
 
 from rrcalc.bundles import character_rows, todd_rows
-from rrcalc.series import TruncatedSeries, exp_deficit_series, todd_series
+from rrcalc.series import (
+    TruncatedSeries,
+    exp_deficit_series,
+    log_one_plus_series,
+    todd_series,
+)
 from rrcalc.theories import CHOW, K_THEORY, twist_theory
 
 R, t, y = ring("t, y", QQ)
@@ -67,7 +74,11 @@ CHERN = sympy.symbols("c1:6")
 
 @functools.lru_cache(maxsize=None)
 def sympy_series(name: str, order: int):
-    closed = {"todd": x / (1 - sympy.exp(-x)), "exp_deficit": (1 - sympy.exp(-x)) / x}
+    closed = {
+        "todd": x / (1 - sympy.exp(-x)),
+        "exp_deficit": (1 - sympy.exp(-x)) / x,
+        "log_one_plus": sympy.log(1 + x),
+    }
     return sympy.series(closed[name], x, 0, order + 1).removeO()
 
 
@@ -101,7 +112,12 @@ def test_compose_matches_sympy_on_random_series():
 
 
 @pytest.mark.parametrize(
-    "name, ours", [("todd", todd_series), ("exp_deficit", exp_deficit_series)]
+    "name, ours",
+    [
+        ("todd", todd_series),
+        ("exp_deficit", exp_deficit_series),
+        ("log_one_plus", log_one_plus_series),
+    ],
 )
 def test_stock_series_match_sympy_to_order_30(name, ours):
     assert ours(30) == as_fractions(sympy_series(name, 30), 30)
@@ -188,3 +204,20 @@ def test_twisted_group_law_matches_sympy(base):
         order = rng.randint(1, (depth + 1) // 2)
         law = twist_theory(base, twist).group_law(order)
         assert law.terms == sympy_twisted_law(twist, base.beta, order)
+
+
+def test_character_matrix_rows_match_stirling_numbers():
+    # (1 - e^-h)^r = sum_f (-1)^(f - r) r! S(f, r) h^f / f!, S the Stirling
+    # numbers of the second kind; (-1)^(f + r) is the same sign.
+    from sympy.functions.combinatorial.numbers import stirling
+
+    from rrcalc.theories import _character_matrix
+
+    for d in range(13):
+        matrix = _character_matrix(d)
+        assert len(matrix) == d + 1
+        for r, row in enumerate(matrix):
+            assert list(row) == [
+                Fraction((-1) ** (f + r) * factorial(r) * int(stirling(f, r)), factorial(f))
+                for f in range(d + 1)
+            ]

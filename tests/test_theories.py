@@ -1,5 +1,6 @@
 """Tests for the theory models: laws, morphisms, twisting, duality."""
 
+import random
 from dataclasses import fields
 from fractions import Fraction
 
@@ -16,14 +17,17 @@ from rrcalc import (
     NonUnitConstant,
     RingSpec,
     SpecMismatch,
+    TheoryModel,
     TruncatedSeries,
     diagonal_class,
+    eval_series,
     exp_deficit_series,
     factor_projection,
     gk_leading_morphism,
     k_line_class,
     linear_immersion,
     metric_check,
+    multiplicative_extension,
     point_projection,
     pullback,
     pushforward,
@@ -31,6 +35,7 @@ from rrcalc import (
     ring_of,
     space_tangent,
     tangent_class,
+    todd_series,
     twist_theory,
     universal_morphism,
 )
@@ -349,6 +354,15 @@ def test_a_descriptor_is_a_shape_shared_by_every_theory():
         assert immersion == Morphism((2, 1), (2, 3), 1)
 
 
+def test_a_descriptor_built_from_lists_is_the_same_hashable_shape():
+    listed = Morphism([2, 1], [2, 3], 1)
+    assert listed == Morphism((2, 1), (2, 3), 1)
+    assert hash(listed) == hash(Morphism((2, 1), (2, 3), 1))
+    tw = exp_deficit_twist(8)
+    x = ring_of(tw, (2, 1)).generator(1)
+    assert pushforward(tw, listed, x) == pushforward(tw, Morphism((2, 1), (2, 3), 1), x)
+
+
 def test_immersion_on_a_product_factor():
     f = linear_immersion(K_THEORY, 1, 3, within=(1, 1), factor=1)
     spec = ring_of(K_THEORY, (1, 1))
@@ -412,6 +426,46 @@ def test_twisted_pushforward_ignores_the_descriptor_theory(base):
         assert immersion == y**2 - Fraction(1, 2) * y**3
 
 
+def _uncached_twisted_pushforward(theory, f, a):
+    """f_*(F_x(T_f)^(-1) * a) by the untwisted carrier, the correction built afresh."""
+    genus = multiplicative_extension(theory.twist, relative_tangent(theory, f))
+    carrier = TheoryModel(theory.beta, RATIONALS)
+    return pushforward(carrier, f, genus.inverse() * a)
+
+
+def test_twisted_corrections_stay_with_their_theory():
+    # One Morphism, two twisted theories: each fills its own correction.
+    deficit = twist_theory(CHOW_Q, exp_deficit_series(8))
+    todd = twist_theory(CHOW_Q, todd_series(8))
+    for f in (
+        factor_projection(CHOW, (2, 1), 0),
+        linear_immersion(CHOW, 1, 3, within=(1, 1), factor=0),
+    ):
+        spec = ring_of(deficit, f.source)
+        a = spec.element({(0, 0): 1, (1, 1): 3, (1, 0): Fraction(-1, 2)})
+        first = [pushforward(tw, f, a) for tw in (deficit, todd)]
+        assert first[0] != first[1]
+        for tw, value in zip((deficit, todd), first):
+            assert value == _uncached_twisted_pushforward(tw, f, a)
+            assert pushforward(tw, f, a) == value
+            assert pushforward(tw, f, spec.one()) == _uncached_twisted_pushforward(
+                tw, f, spec.one()
+            )
+
+
+def test_filled_correction_cache_keeps_equality_hash_and_repr():
+    series = exp_deficit_series(10)
+    used = twist_theory(CHOW, series)
+    f = point_projection(used, 3)
+    x = ring_of(used, (3,)).generator(0)
+    pushforward(used, f, x)
+    fresh = twist_theory(CHOW, series)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert pushforward(fresh, f, x) == pushforward(used, f, x)
+
+
 @pytest.mark.parametrize(
     "theory", [CHOW, K_THEORY, exp_deficit_twist(6)], ids=["chow", "ktheory", "twisted"]
 )
@@ -452,6 +506,42 @@ def test_universal_morphism_on_a_product():
     image = universal_morphism(t1 * t2)
     q = ring_of(CHOW_Q, (1, 1))
     assert image == q.generator(0) * q.generator(1)
+
+
+def _universal_morphism_by_products(a):
+    """t_i |-> 1 - e^(-h_i) by powers of each image, multiplied term by term."""
+    dims = a.spec.bounds
+    target = ring_of(CHOW_Q, dims)
+    powers = []
+    for i, d in enumerate(dims):
+        image = eval_series(exp_deficit_series(d).times_t(), target.generator(i))
+        row = [target.one()]
+        for _ in range(d):
+            row.append(row[-1] * image)
+        powers.append(row)
+    result = target.zero()
+    for exps, c in a.terms.items():
+        term = target.scalar(c)
+        for i, r in enumerate(exps):
+            if r:
+                term = term * powers[i][r]
+        result = result + term
+    return result
+
+
+def test_universal_morphism_matches_the_product_route():
+    rng = random.Random(2024)
+    for case in range(80):
+        dims = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 3)))
+        scalars = RATIONALS if case % 8 == 0 else INTEGERS
+        spec = ring_of(TheoryModel(1, scalars), dims)
+        a = spec.element(
+            {e: rng.randint(-9, 9) for e in spec.monomials() if rng.random() < 0.6}
+        )
+        assert universal_morphism(a) == _universal_morphism_by_products(a)
+    spec = ring_of(K_THEORY, (40,))
+    a = spec.element({(r,): rng.randint(-9, 9) for r in range(41)})
+    assert universal_morphism(a) == _universal_morphism_by_products(a)
 
 
 def test_universal_morphism_rejects_non_k_input():
