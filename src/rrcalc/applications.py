@@ -100,6 +100,12 @@ def _space_todd(dims: tuple[int, ...]) -> RingElement:
     return todd_class(space_tangent(CHOW_Q, dims))
 
 
+@lru_cache(maxsize=None)
+def _space_todd_inverse(dims: tuple[int, ...]) -> RingElement:
+    """Td(T_X)^(-1), inverted once per shape and shared like `_space_todd`."""
+    return _space_todd(dims).inverse()
+
+
 def verify_grr(n: int, f: Morphism, a: RingElement) -> RingElement:
     """The Riemann-Roch residual of (f, a), in the rational additive ring.
 
@@ -112,7 +118,7 @@ def verify_grr(n: int, f: Morphism, a: RingElement) -> RingElement:
         raise SpecMismatch(f"source of {f} has dimension {sum(f.source)}, not {n}")
     direct = universal_morphism(pushforward(TheoryModel(1, a.spec.scalars), f, a))
     source_density = _space_todd(f.source) * universal_morphism(a)
-    corrected = _space_todd(f.target).inverse() * pushforward(CHOW_Q, f, source_density)
+    corrected = _space_todd_inverse(f.target) * pushforward(CHOW_Q, f, source_density)
     return direct - corrected
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Sequence
 
@@ -69,6 +70,16 @@ class BundleClass:
     def chern_classes(self) -> list[RingElement]:
         """[c_1, c_2, ...] up to the ring's total nilpotency degree."""
         return self.total_chern.graded_components()[1:]
+
+    @cached_property
+    def _power_sums(self) -> list[RingElement]:
+        # p_1 .. p_T by Newton's identities, once per bundle for both
+        # extensions.  cached_property writes the instance __dict__ directly,
+        # so it works on the frozen dataclass and stays out of ==, hash and
+        # repr; the list and its elements are shared, so never mutated.
+        if self.spec.total_degree == 0:
+            return []  # a point ring has no positive-degree classes
+        return newton_e_to_p(self.chern_classes(), self.spec.total_degree)
 
 
 def whitney_sum(e: BundleClass, f: BundleClass) -> BundleClass:
@@ -136,16 +147,10 @@ def newton_p_to_e(power_sums: Sequence[RingElement], up_to: int) -> list[RingEle
     return e
 
 
-def _power_sums(e: BundleClass) -> list[RingElement]:
-    if e.spec.total_degree == 0:
-        return []  # a point ring has no positive-degree classes
-    return newton_e_to_p(e.chern_classes(), e.spec.total_degree)
-
-
 def additive_extension(series: TruncatedSeries, e: BundleClass) -> RingElement:
     """F(a_1) + ... + F(a_r) = F[0]*rank + sum F[n]*p_n."""
     result = e.spec.scalar(series[0] * e.rank)
-    for n, p_n in enumerate(_power_sums(e), start=1):
+    for n, p_n in enumerate(e._power_sums, start=1):
         if p_n.is_zero():
             continue
         if n > series.order:

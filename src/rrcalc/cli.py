@@ -61,10 +61,10 @@ from .theories import (
     twist_theory,
 )
 
-# Highest `verify twist-law --order`: about 0.5 s on a 2.1 GHz Xeon; 32 takes
-# 0.7 s and 40 1.7 s, roughly order^4.
+# Highest `verify twist-law --order`: about 0.4 s on a 2.1 GHz Xeon; 32 takes
+# 0.7 s and 40 1.5 s, roughly order^4.
 MAX_TWIST_LAW_ORDER = 28
-# Highest `ch --order`: 2-4 s with as many symbols as the order (34: 5 s).
+# Highest `ch --order`: 3.5-4.5 s with as many symbols as the order (34: 6.5 s).
 MAX_CH_ORDER = 32
 # Highest `todd --order`: about 3 s; 600 takes 5 s and 1000 about 30 s.
 MAX_TODD_ORDER = 500

@@ -6,8 +6,9 @@ stored sparsely as {exponent vector: coefficient}; multiplication drops
 any monomial whose exponent overflows its bound, which is the whole
 content of the quotient.  Products run on integers: each exponent vector
 is packed into one int and each operand is scaled to integer numerators
-over one common denominator.  Scalars are exact integers or exact rationals,
-fixed once per ring.
+over one common denominator.  Series evaluation and inversion share that
+kernel, with every power of the argument kept packed.  Scalars are exact
+integers or exact rationals, fixed once per ring.
 Generators may carry weights, and a ring may cap the weighted degree:
 abstract Chern symbols c_i have weight i, truncated above an order.
 """
@@ -18,7 +19,8 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import lshift, mul
+from math import gcd, lcm
+from operator import and_, mul, rshift
 from typing import Iterable, Mapping, Union
 
 from .series import TruncatedSeries, common_denominator
@@ -171,26 +173,38 @@ class RingSpec:
         return replace(self, scalars=RATIONALS)
 
     @cached_property
-    def _packing(self) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-        """(shifts, masks, offset, guard) for exponent vectors packed in one int.
+    def _packing(
+        self,
+    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int, int]:
+        """(multipliers, shifts, masks, offset, guard) for monomials packed in one int.
 
         Variable i gets a slot of k + 1 bits, k = bounds[i].bit_length(),
         whose top bit is a guard.  Two exponents <= d sum to at most
         2^(k+1) - 2, so packed keys add slot by slot without carries; and
         adding the offset 2^k - 1 - d to a slot sets its guard bit exactly
-        when the sum exceeds d.  cached_property writes the instance
-        __dict__ directly, so it works on the frozen dataclass and stays
-        out of ==, hash and repr.
+        when the sum exceeds d.  A capped ring has one more slot on top
+        holding the weighted degree, bounded by the cap the same way, so
+        the one guard test also drops a monomial above the cap.  The key
+        of e is sum e_i * multipliers[i]: 2^shifts[i], plus weights[i] in
+        the weight slot.  cached_property writes the instance __dict__
+        directly, so it works on the frozen dataclass and stays out of
+        ==, hash and repr.
         """
         shifts, masks, offset, guard, shift = [], [], 0, 0, 0
-        for d in self.bounds:
+        for d in self.bounds if self.cap is None else (*self.bounds, self.cap):
             k = d.bit_length()
             shifts.append(shift)
             masks.append((1 << k) - 1)
             offset |= ((1 << k) - 1 - d) << shift
             guard |= 1 << (shift + k)
             shift += k + 1
-        return tuple(shifts), tuple(masks), offset, guard
+        if self.cap is not None:  # the weight slot is added to, never unpacked
+            top = shifts.pop()
+            masks.pop()
+            multipliers = [(1 << s) + (w << top) for s, w in zip(shifts, self.weights)]
+        else:
+            multipliers = [1 << s for s in shifts]
+        return tuple(multipliers), tuple(shifts), tuple(masks), offset, guard
 
 
 def _render_key(exponents: Exponents):
@@ -289,33 +303,12 @@ class RingElement:
         if not (self.terms and other.terms):
             # Frequent in Newton's recursions; skips the packing set-up.
             return _raw(self.spec, {})
-        shifts, masks, offset, guard = self.spec._packing
+        multipliers, _, _, offset, guard = self.spec._packing
         left, da = common_denominator(self.terms.values())
         right, db = common_denominator(other.terms.values())
-        right = list(zip([sum(map(lshift, e, shifts)) for e in other.terms], right))
-        # Keys carry the offset, so a set guard bit means an overflowing
-        # exponent: by nilpotency that monomial is zero.
-        sums: dict[int, int] = {}
-        get = sums.get
-        for ea, na in zip(self.terms, left):
-            ka = sum(map(lshift, ea, shifts)) + offset
-            for kb, nb in right:
-                key = ka + kb
-                if not key & guard:
-                    sums[key] = get(key, 0) + na * nb
-        denominator = da * db
-        rational = self.spec.scalars == RATIONALS
-        out: dict[Exponents, Scalar] = {}
-        for key, n in sums.items():
-            if n:
-                key -= offset
-                exponents = tuple((key >> s) & m for s, m in zip(shifts, masks))
-                out[exponents] = Fraction(n, denominator) if rational else n
-        cap = self.spec.cap
-        if cap is not None:
-            weights = self.spec.weights
-            out = {e: c for e, c in out.items() if sum(map(mul, weights, e)) <= cap}
-        return _raw(self.spec, out)
+        left = zip([sum(map(mul, e, multipliers)) + offset for e in self.terms], left)
+        right = list(zip([sum(map(mul, e, multipliers)) for e in other.terms], right))
+        return _unpacked(self.spec, _convolve(left, right, guard), da * db)
 
     __rmul__ = __mul__
 
@@ -347,17 +340,12 @@ class RingElement:
             if c0 == 0:
                 raise NonUnitConstant("constant term 0 is not invertible")
             lead = 1 / c0
-        # self * lead = 1 + nil with nil nilpotent, so the inverse is the
-        # finite sum (1 + nil)^-1 = 1 - nil + nil^2 - ...
+        # self * lead = 1 - nil with nil nilpotent, so the inverse is the
+        # geometric series 1 + nil + nil^2 + ...; it stops by nil^(T + 1) = 0
+        # at the total degree T, since every generator has weight >= 1.
         nil = self.spec.one() - self * lead
-        result = self.spec.one()
-        power = self.spec.one()
-        while True:
-            power = power * nil
-            if power.is_zero():
-                break
-            result = result + power
-        return result * lead
+        geometric = TruncatedSeries([1] * (self.spec.total_degree + 1))
+        return eval_series(geometric, nil) * lead
 
     def graded_component(self, degree: int) -> "RingElement":
         """Sum of the terms of weighted degree `degree`."""
@@ -416,31 +404,87 @@ def _raw(spec: RingSpec, terms: dict[Exponents, Scalar]) -> RingElement:
     return element
 
 
+def _convolve(
+    left: Iterable[tuple[int, int]], right: list[tuple[int, int]], guard: int
+) -> dict[int, int]:
+    """Numerators of a packed product, key -> sum of na * nb; 0 where terms cancel.
+
+    Left keys carry the packing offset and right keys do not, so each sum
+    carries it exactly once: a set guard bit means an exponent beyond its
+    bound or a weight beyond the cap, a monomial that is zero by
+    nilpotency, and the pair is skipped.  The sums keep the offset.
+    """
+    sums: dict[int, int] = {}
+    get = sums.get
+    for ka, na in left:
+        for kb, nb in right:
+            key = ka + kb
+            if not key & guard:
+                sums[key] = get(key, 0) + na * nb
+    return sums
+
+
+def _unpacked(spec: RingSpec, sums: Mapping[int, int], denominator: int) -> RingElement:
+    # Offset keys and numerators over `denominator` back to a term table:
+    # one Fraction per monomial over Q, the integer itself over Z.
+    _, shifts, masks, offset, _ = spec._packing
+    rational = spec.scalars == RATIONALS
+    out: dict[Exponents, Scalar] = {}
+    for key, n in sums.items():
+        if n:
+            key -= offset
+            exponents = tuple(map(and_, map(rshift, itertools.repeat(key), shifts), masks))
+            out[exponents] = Fraction(n, denominator) if rational else n
+    return _raw(spec, out)
+
+
 def eval_series(series: TruncatedSeries, argument: RingElement) -> RingElement:
     """sum series[n] * argument^n, a finite sum by nilpotency.
 
     The argument must have zero constant term.  If some power of the
     argument is still nonzero beyond the series' truncation order the
     result would be wrong, so that case raises InsufficientOrder.
+
+    The argument is packed once; each power is a table of integer
+    numerators over its own denominator, reduced by their common content
+    after every step, and the sum is taken over one lcm at the end.
     """
     if argument.constant_term != 0:
         raise NonNilpotentArgument(
             "series can only be evaluated at elements with zero constant term"
         )
     spec = argument.spec
-    result = spec.scalar(series[0])
-    power = spec.one()
+    multipliers, _, _, offset, guard = spec._packing
+    numerators, step = common_denominator(argument.terms.values())
+    base = list(zip([sum(map(mul, e, multipliers)) for e in argument.terms], numerators))
+    # Each summand is (c_n, argument^n as offset key -> numerator, its denominator).
+    power, denominator = {offset: 1}, 1
+    summands = [(spec.coerce(series[0]), power, denominator)]
     n = 1
     while True:
-        power = power * argument
-        if power.is_zero():
+        power = {k: v for k, v in _convolve(power.items(), base, guard).items() if v}
+        if not power:
             break
         if n > series.order:
             raise InsufficientOrder(
                 f"series of order {series.order} is too short: argument^{n} != 0"
             )
+        denominator *= step
+        content = gcd(denominator, *power.values())
+        if content > 1:
+            denominator //= content
+            power = {k: v // content for k, v in power.items()}
         coefficient = series[n]
         if coefficient != 0:
-            result = result + power * coefficient
+            summands.append((spec.coerce(coefficient), power, denominator))
         n += 1
-    return result
+    common = 1
+    for c, _, d in summands:
+        common = lcm(common, c.denominator * d)
+    total: dict[int, int] = {}
+    get = total.get
+    for c, table, d in summands:
+        scale = c.numerator * (common // (c.denominator * d))
+        for key, v in table.items():
+            total[key] = get(key, 0) + scale * v
+    return _unpacked(spec, total, common)

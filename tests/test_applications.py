@@ -36,8 +36,10 @@ from rrcalc import (
     verify_grr,
     zeuthen_segre,
 )
+from rrcalc import acceptance
 from rrcalc.acceptance import run_criterion
-from rrcalc.applications import _space_todd
+from rrcalc.applications import _space_todd, _space_todd_inverse
+from rrcalc.rings import RingElement
 
 
 # ---------------------------------------------------------------- the residual
@@ -85,6 +87,36 @@ def test_cached_classes_are_unchanged_by_the_grr_grid():
         assert _space_todd(dims) is todd
         assert todd == todd_class(space_tangent(CHOW_Q, dims))
     assert [dict(correction.terms)] + [dict(t.terms) for t in todds.values()] == before
+
+
+def test_grr_grid_inverts_each_target_todd_class_once(monkeypatch):
+    _space_todd_inverse.cache_clear()
+    inverted, targets, residuals = [], set(), [[], []]
+    invert, verify = RingElement.inverse, acceptance.verify_grr
+
+    def recording_inverse(self):
+        inverted.append(self)
+        return invert(self)
+
+    monkeypatch.setattr(RingElement, "inverse", recording_inverse)
+    for run in residuals:
+
+        def recording_verify(n, f, a):
+            targets.add(f.target)
+            run.append(verify(n, f, a))
+            return run[-1]
+
+        monkeypatch.setattr(acceptance, "verify_grr", recording_verify)
+        assert run_criterion(3).passed
+        if run is residuals[0]:
+            cached = {dims: dict(_space_todd_inverse(dims).terms) for dims in targets}
+    # Both runs together invert each target's Todd class at most once.
+    todds = [e for e in inverted if any(e is _space_todd(dims) for dims in targets)]
+    assert len(todds) == len({id(e) for e in todds}) <= len(targets)
+    assert residuals[0] == residuals[1]
+    assert {dims: dict(_space_todd_inverse(dims).terms) for dims in targets} == cached
+    for dims in targets:
+        assert _space_todd_inverse(dims) * _space_todd(dims) == 1
 
 
 def test_grr_checks_the_stated_dimension():

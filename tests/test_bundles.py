@@ -213,6 +213,33 @@ def test_the_genus_log_stops_at_the_ring_degree(monkeypatch):
     assert orders == [4, 3]
 
 
+def test_each_bundle_runs_newton_once_for_both_extensions(monkeypatch):
+    calls = []
+
+    def counting(elementary, up_to):
+        calls.append(up_to)
+        return newton_e_to_p(elementary, up_to)
+
+    monkeypatch.setattr(bundles, "newton_e_to_p", counting)
+    spec = _root_ring(2)
+    for e in (_bundle_from_roots(spec, roots) for roots in ((0,), (0, 1))):
+        plain = additive_extension(exponential_series(4), e)
+        assert multiplicative_extension(todd_series(4), e) == todd_class(e)
+        assert additive_extension(exponential_series(4), e) == plain == chern_character(e)
+    assert calls == [4, 4]
+
+
+def test_filled_power_sums_keep_equality_hash_and_repr():
+    spec = _root_ring(2)
+    used, fresh = (_bundle_from_roots(spec, (0, 1)) for _ in range(2))
+    chern_character(used)
+    assert "_power_sums" in vars(used) and "_power_sums" not in vars(fresh)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert chern_character(fresh) == chern_character(used)
+
+
 def test_chern_character_of_plane_tangent():
     # rank 2, total Chern (1+h)^3 truncated: ch = 2 + 3h + 3h^2/2.
     spec = RingSpec(("h",), (2,), RATIONALS)

@@ -10,7 +10,8 @@ sympy's Stirling numbers, and the abstract Chern-symbol rows against sums
 and products over literal roots, rewritten in the elementary symmetric
 functions by `symmetrize`.  The twisted group laws
 are expanded as e(base(e^-1(u), e^-1(v))) in sympy's own polynomial
-ring.  Skipped where sympy is not installed.
+ring, and `eval_series` of exp, log(1 + t) and the deficit series as
+truncated power sums there.  Skipped where sympy is not installed.
 """
 
 import functools
@@ -29,9 +30,11 @@ from sympy.polys.ring_series import rs_series_reversion
 from sympy.polys.rings import ring
 
 from rrcalc.bundles import character_rows, todd_rows
+from rrcalc.rings import RATIONALS, RingSpec, eval_series
 from rrcalc.series import (
     TruncatedSeries,
     exp_deficit_series,
+    exponential_series,
     log_one_plus_series,
     todd_series,
 )
@@ -78,6 +81,7 @@ def sympy_series(name: str, order: int):
         "todd": x / (1 - sympy.exp(-x)),
         "exp_deficit": (1 - sympy.exp(-x)) / x,
         "log_one_plus": sympy.log(1 + x),
+        "exponential": sympy.exp(x),
     }
     return sympy.series(closed[name], x, 0, order + 1).removeO()
 
@@ -221,3 +225,43 @@ def test_character_matrix_rows_match_stirling_numbers():
                 Fraction((-1) ** (f + r) * factorial(r) * int(stirling(f, r)), factorial(f))
                 for f in range(d + 1)
             ]
+
+
+def sympy_evaluation(name: str, g, bounds: tuple[int, int]) -> dict:
+    """sum c_n g^n in QQ[u, v] with sympy's c_n, each power cut at the bounds."""
+
+    def cut(p):
+        return UV({m: c for m, c in p.items() if m[0] <= bounds[0] and m[1] <= bounds[1]})
+
+    expansion = sympy_series(name, 30)
+    total, power = UV.zero, UV.one
+    for n in range(sum(bounds) + 1):  # g^(sum of bounds + 1) = 0
+        c = expansion.coeff(x, n)
+        total += QQ(int(c.p), int(c.q)) * power
+        power = cut(power * g)
+    return {m: Fraction(int(c.numerator), int(c.denominator)) for m, c in total.items()}
+
+
+@pytest.mark.parametrize(
+    "name, ours",
+    [
+        ("exponential", exponential_series),
+        ("log_one_plus", log_one_plus_series),
+        ("exp_deficit", exp_deficit_series),
+    ],
+)
+def test_eval_series_matches_sympy_at_random_nilpotents(name, ours):
+    rng = random.Random(1603 + len(name))
+    for _ in range(12):
+        bounds = (rng.randint(0, 4), rng.randint(0, 4))
+        spec = RingSpec(("u", "v"), bounds, RATIONALS)
+        terms = {
+            (rng.randint(0, bounds[0]), rng.randint(0, bounds[1])): value
+            for value in random_coefficients(rng, rng.randint(1, 5))
+        }
+        terms.pop((0, 0), None)
+        g = UV.zero
+        for (i, j), c in terms.items():
+            g += QQ(c.numerator, c.denominator) * u**i * v**j
+        value = eval_series(ours(sum(bounds)), spec.element(terms))
+        assert value.terms == sympy_evaluation(name, g, bounds)

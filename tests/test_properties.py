@@ -2,7 +2,8 @@
 
 The integer product kernels of `RingElement.__mul__` and
 `TruncatedSeries.__mul__` are checked against plain dict and list
-convolutions of the stored coefficients.  Skipped where hypothesis is
+convolutions of the stored coefficients, and `eval_series` against the
+loop of whole-element products it replaced.  Skipped where hypothesis is
 not installed.
 """
 
@@ -15,7 +16,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrcalc.rings import INTEGERS, RATIONALS, RingSpec
+from test_rings import _eval_series_by_products, _outcome
+
+from rrcalc.rings import INTEGERS, RATIONALS, RingSpec, eval_series
 from rrcalc.series import TruncatedSeries
 
 coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -71,6 +74,25 @@ def test_ring_product_matches_the_naive_convolution(factors):
 @given(ring_factors(st.integers(32, 40), max_terms=6))
 def test_wide_ring_product_matches_the_naive_convolution(factors):
     check_ring_product(*factors)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    factors=ring_factors(st.integers(0, 3), max_bound=5, max_terms=5),
+    series=st.lists(st.integers(-9, 9) | coefficients, min_size=1, max_size=13),
+    nilpotent=st.booleans(),
+)
+def test_eval_series_matches_the_product_loop(factors, series, nilpotent):
+    # Over Z a non-integer coefficient raises IntegerDomain only where the
+    # loop reaches it, and a kept constant term raises NonNilpotentArgument.
+    spec, terms, _ = factors
+    if nilpotent:
+        terms.pop((0,) * len(spec.variables), None)
+    argument, series = spec.element(terms), TruncatedSeries(series)
+    outcome = _outcome(eval_series, series, argument)
+    assert outcome == _outcome(_eval_series_by_products, series, argument)
+    if isinstance(outcome, tuple):
+        assert outcome[1] <= {int if spec.scalars == INTEGERS else Fraction}
 
 
 @settings(deadline=None, max_examples=100)

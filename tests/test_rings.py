@@ -1,6 +1,7 @@
 """Quotient-ring behavior: truncation, units, domains, rendering."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from rrcalc.rings import (
     SpecMismatch,
     eval_series,
 )
-from rrcalc.series import TruncatedSeries, exponential_series
+from rrcalc.series import TruncatedSeries, exponential_series, log_one_plus_series
 
 
 def test_spec_rendering():
@@ -117,10 +118,12 @@ def test_geometric_inverse_over_integers():
 
 def test_inverse_unit_conditions():
     spec = RingSpec(("x",), (2,))
-    with pytest.raises(NonUnitConstant):
+    with pytest.raises(NonUnitConstant, match=r"^constant term 2 is not a unit over Z$"):
         spec.scalar(2).inverse()
-    with pytest.raises(NonUnitConstant):
+    with pytest.raises(NonUnitConstant, match=r"^constant term 0 is not a unit over Z$"):
         spec.generator(0).inverse()
+    with pytest.raises(NonUnitConstant, match=r"^constant term 0 is not invertible$"):
+        spec.rationalized().generator(0).inverse()
     rational = spec.rationalized()
     half = rational.scalar(2).inverse()
     assert half == rational.scalar(Fraction(1, 2))
@@ -209,6 +212,149 @@ def test_eval_series_insufficient_order_is_permissive():
         eval_series(TruncatedSeries([1, 1], order=1), x + y)
     # x^2 = 0, so the same short series is fine on one variable.
     assert eval_series(TruncatedSeries([1, 1], order=1), x) == spec.one() + x
+
+
+def _eval_series_by_products(series, argument):
+    """The evaluation loop the packed kernel replaced: whole-element products and sums."""
+    if argument.constant_term != 0:
+        raise NonNilpotentArgument(
+            "series can only be evaluated at elements with zero constant term"
+        )
+    spec = argument.spec
+    result = spec.scalar(series[0])
+    power = spec.one()
+    n = 1
+    while True:
+        power = power * argument
+        if power.is_zero():
+            return result
+        if n > series.order:
+            raise InsufficientOrder(
+                f"series of order {series.order} is too short: argument^{n} != 0"
+            )
+        coefficient = series[n]
+        if coefficient != 0:
+            result = result + power * coefficient
+        n += 1
+
+
+def _outcome(evaluate, series, argument):
+    """(terms, scalar types) of one evaluation, or the class of the error it raises."""
+    try:
+        value = evaluate(series, argument)
+    except ValueError as error:
+        return type(error)
+    return value.terms, {type(c) for c in value.terms.values()}
+
+
+def _random_element(rng: random.Random, scalars: str, constant):
+    """An element of a random ring (0-3 variables, maybe weighted, maybe capped).
+
+    Its constant term is `constant`; the other terms are random scalars.
+    """
+    count = rng.randint(0, 3)
+    bounds = [rng.randint(0, 5) for _ in range(count)]
+    weights = None if rng.random() < 0.5 else [rng.randint(1, 3) for _ in range(count)]
+    cap = None if rng.random() < 0.5 else rng.randint(0, 8)
+    spec = RingSpec(tuple(f"x{i}" for i in range(count)), bounds, scalars, weights, cap)
+    terms = {(0,) * count: constant}
+    for _ in range(rng.randint(0, 5)):
+        exponents = tuple(rng.randint(0, d) for d in bounds)
+        value = rng.randint(-5, 5)
+        if any(exponents) and spec.fits(exponents):
+            terms[exponents] = value if scalars == INTEGERS else Fraction(value, rng.randint(1, 6))
+    return spec.element(terms)
+
+
+def _random_evaluation(rng: random.Random):
+    """A series of order 0..12 and an argument in a random ring.
+
+    Over Z some coefficients are not integers, and one argument in ten has
+    a constant term, so every error of eval_series turns up.
+    """
+    scalars = rng.choice((INTEGERS, RATIONALS))
+    argument = _random_element(rng, scalars, rng.choice((1, -2)) if rng.random() < 0.1 else 0)
+    coefficients = [
+        rng.choice((0, rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 7))))
+        for _ in range(rng.randint(1, 13))
+    ]
+    return TruncatedSeries(coefficients), argument
+
+
+def test_eval_series_matches_the_product_loop_on_seeded_cases():
+    rng = random.Random(1603)
+    seen = set()
+    for _ in range(1500):
+        series, argument = _random_evaluation(rng)
+        outcome = _outcome(eval_series, series, argument)
+        assert outcome == _outcome(_eval_series_by_products, series, argument)
+        if isinstance(outcome, tuple):
+            domain = int if argument.spec.scalars == INTEGERS else Fraction
+            assert outcome[1] <= {domain}
+            outcome = "value"
+        seen.add(outcome)
+    assert seen == {
+        "value", NonNilpotentArgument, IntegerDomain, InsufficientOrder
+    }
+
+
+def test_eval_series_errors_keep_their_order():
+    spec = RingSpec(("x", "y"), (1, 1))
+    x, y = spec.generators()
+    half = Fraction(1, 2)
+    # The constant term is checked before any coefficient is read.
+    with pytest.raises(NonNilpotentArgument):
+        eval_series(TruncatedSeries([half, 1]), spec.one() + x)
+    # series[0] is coerced even where the argument is zero.
+    with pytest.raises(IntegerDomain):
+        eval_series(TruncatedSeries([half]), spec.zero())
+    # (x + y)^2 = 2xy is beyond the order, but the coefficient 1/2 of
+    # (x + y)^1 is reached first.
+    with pytest.raises(IntegerDomain):
+        eval_series(TruncatedSeries([1, half]), x + y)
+    with pytest.raises(InsufficientOrder):
+        eval_series(TruncatedSeries([1, 1]), x + y)
+    # x^2 = 0, so the coefficient 1/2 of t^2 is never reached.
+    assert eval_series(TruncatedSeries([1, 1, half]), x) == spec.one() + x
+
+
+def test_eval_series_drops_powers_above_the_cap():
+    # Weights (1, 2), cap 2: (x + y)^2 = x^2 and (x + y)^3 = x^3 = 0, though
+    # x^3 is within the bound of x; so the coefficient 1/2 is never reached.
+    spec = RingSpec(("x", "y"), (3, 3), INTEGERS, (1, 2), 2)
+    x, y = spec.generators()
+    value = eval_series(TruncatedSeries([1, 1, 3, Fraction(1, 2)]), x + y)
+    assert value == spec.one() + x + y + 3 * x * x
+
+
+def test_eval_series_closed_forms_with_scaled_arguments():
+    # Powers of x/2 keep growing denominators, powers of 2x growing numerators.
+    spec = RingSpec(("x",), (6,), RATIONALS)
+    x = spec.generator(0)
+    assert eval_series(exponential_series(6), Fraction(1, 2) * x).terms == {
+        (n,): Fraction(1, 2**n * math.factorial(n)) for n in range(7)
+    }
+    assert eval_series(log_one_plus_series(6), 2 * x).terms == {
+        (n,): Fraction((-1) ** (n + 1) * 2**n, n) for n in range(1, 7)
+    }
+
+
+@pytest.mark.parametrize("scalars", [INTEGERS, RATIONALS])
+def test_inverse_of_seeded_units_round_trips(scalars):
+    rng = random.Random(1957 if scalars == INTEGERS else 1958)
+    domain = int if scalars == INTEGERS else Fraction
+    for _ in range(200):
+        if scalars == INTEGERS:
+            lead = rng.choice((1, -1))
+        else:
+            lead = Fraction(rng.choice((1, -1, 2, -3)), rng.randint(1, 4))
+        unit = _random_element(rng, scalars, lead)
+        inverse = unit.inverse()
+        assert unit * inverse == 1 and inverse * unit == 1
+        assert all(type(c) is domain for c in inverse.terms.values())
+    point = RingSpec((), (), scalars)
+    assert point.scalar(-1).inverse() == -1
+    assert (point.scalar(-1).inverse() * point.scalar(-1)).terms == {(): 1}
 
 
 def test_point_ring_has_scalars_only():
