@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Sequence
 
 from .rings import (
@@ -30,6 +30,10 @@ from .rings import (
     NonUnitConstant,
     RingElement,
     RingSpec,
+    SpecMismatch,
+    _convolve,
+    _packed,
+    _unpacked,
     eval_series,
 )
 from .series import (
@@ -100,27 +104,44 @@ def dual_bundle(e: BundleClass) -> BundleClass:
     return BundleClass(e.rank, total)
 
 
+def _one_ring(elements: Sequence[RingElement], up_to: int) -> RingSpec:
+    # The ring of elements[0].  Newton's recursions first mix element n
+    # with the earlier ones at step n, so one of another ring is refused
+    # if the recursion reaches it.
+    spec = elements[0].spec
+    for a in elements[1:up_to]:
+        if a.spec != spec:
+            raise SpecMismatch(f"cannot mix {a.spec} with {spec}")
+    return spec
+
+
 def newton_e_to_p(elementary: Sequence[RingElement], up_to: int) -> list[RingElement]:
     """Power sums p_1..p_m from elementary symmetric functions e_1..e_k.
 
     Newton's identity p_n = e1*p_(n-1) - e2*p_(n-2) + ... + (-1)^(n-1)*n*e_n,
     with e_i = 0 beyond the supplied list.  Division-free, so it works
     over either scalar domain.
+
+    With e_i = E_i / d over one common denominator d, p_n is kept as
+    integer numerators over d^n: term i of the identity is
+    (-1)^(i-1) d^(i-1) E_i * P_(n-i), so every step is integer products.
     """
     if not elementary:
         raise ValueError("need at least e_1 (possibly zero) to fix the ring")
-    spec = elementary[0].spec
-
-    def e(i: int) -> RingElement:
-        return elementary[i - 1] if i <= len(elementary) else spec.zero()
-
-    p: list[RingElement] = []
+    spec = _one_ring(elementary, up_to)
+    e, d = _packed(elementary[: max(up_to, 1)])
+    # (-1)^(i-1) d^(i-1) E_i, the right factor of every term with e_i.
+    e = [[(k, (-d) ** i * v) for k, v in table] for i, table in enumerate(e)]
+    one = _packed([spec.one()], offset=True)[0][0]
+    p: list[dict[int, int]] = []
     for n in range(1, up_to + 1):
-        acc = e(n) * ((-1) ** (n - 1) * n)
-        for i in range(1, n):
-            acc = acc + e(i) * ((-1) ** (i - 1)) * p[n - i - 1]
-        p.append(acc)
-    return p
+        sums: dict[int, int] = {}
+        if n <= len(e):
+            _convolve(spec, [(k, n * v) for k, v in one], e[n - 1], sums)
+        for i in range(1, min(n, len(e) + 1)):
+            _convolve(spec, p[n - i - 1].items(), e[i - 1], sums)
+        p.append({k: v for k, v in sums.items() if v})
+    return [_unpacked(spec, table, d**n) for n, table in enumerate(p, start=1)]
 
 
 def newton_p_to_e(power_sums: Sequence[RingElement], up_to: int) -> list[RingElement]:
@@ -128,37 +149,61 @@ def newton_p_to_e(power_sums: Sequence[RingElement], up_to: int) -> list[RingEle
 
     Inverts the same identity: n*e_n = sum_{i=1..n} (-1)^(i-1) e_(n-i) p_i,
     so each step divides by n.
+
+    With p_i = P_i / d over one common denominator d, each e_n is a table
+    of integer numerators over its own denominator, reduced by their
+    common content after every step.
     """
     if not power_sums:
         raise ValueError("need at least p_1 (possibly zero) to fix the ring")
     spec = power_sums[0].spec
     if spec.scalars != RATIONALS:
         raise IntegerDomain("recovering e_n from power sums divides by n")
-
-    def p(i: int) -> RingElement:
-        return power_sums[i - 1] if i <= len(power_sums) else spec.zero()
-
-    e: list[RingElement] = []
+    _one_ring(power_sums, up_to)
+    p, d = _packed(power_sums[: max(up_to, 1)])
+    p = [[(k, (-1) ** i * v) for k, v in table] for i, table in enumerate(p)]
+    one = _packed([spec.one()], offset=True)[0][0]
+    e: list[tuple[dict[int, int], int]] = [(dict(one), 1)]
     for n in range(1, up_to + 1):
-        acc = p(n) * ((-1) ** (n - 1))
-        for i in range(1, n):
-            acc = acc + e[n - i - 1] * p(i) * ((-1) ** (i - 1))
-        e.append(acc * Fraction(1, n))
-    return e
+        terms = [(e[n - i], p[i - 1]) for i in range(1, min(n, len(p)) + 1)]
+        common = lcm(*(denominator for (_, denominator), _ in terms))
+        sums: dict[int, int] = {}
+        for (table, denominator), right in terms:
+            scale = common // denominator
+            _convolve(spec, [(k, scale * v) for k, v in table.items()], right, sums)
+        denominator = n * common * d
+        content = gcd(denominator, *sums.values())
+        e.append(({k: v // content for k, v in sums.items() if v}, denominator // content))
+    return [_unpacked(spec, table, denominator) for table, denominator in e[1:]]
 
 
 def additive_extension(series: TruncatedSeries, e: BundleClass) -> RingElement:
-    """F(a_1) + ... + F(a_r) = F[0]*rank + sum F[n]*p_n."""
-    result = e.spec.scalar(series[0] * e.rank)
-    for n, p_n in enumerate(e._power_sums, start=1):
-        if p_n.is_zero():
+    """F(a_1) + ... + F(a_r) = F[0]*rank + sum F[n]*p_n.
+
+    One integer sum over the power sums' common denominator and the lcm
+    of the coefficients' denominators.
+    """
+    spec = e.spec
+    tables, d = _packed([spec.scalar(series[0] * e.rank), *e._power_sums], offset=True)
+    summands, common = [(1, tables[0])], 1
+    for n, p_n in enumerate(tables[1:], start=1):
+        if not p_n:
             continue
         if n > series.order:
             raise InsufficientOrder(
                 f"series of order {series.order} is too short: p_{n} != 0"
             )
-        result = result + p_n * series[n]
-    return result
+        c = spec.coerce(series[n])
+        if c:
+            summands.append((c, p_n))
+            common = lcm(common, c.denominator)
+    total: dict[int, int] = {}
+    get = total.get
+    for c, table in summands:
+        scale = c.numerator * (common // c.denominator)
+        for key, v in table:
+            total[key] = get(key, 0) + scale * v
+    return _unpacked(spec, total, common * d)
 
 
 def multiplicative_extension(series: TruncatedSeries, e: BundleClass) -> RingElement:

@@ -64,12 +64,12 @@ from .theories import (
 # Highest `verify twist-law --order`: about 0.4 s on a 2.1 GHz Xeon; 32 takes
 # 0.7 s and 40 1.5 s, roughly order^4.
 MAX_TWIST_LAW_ORDER = 28
-# Highest `ch --order`: 3.5-4.5 s with as many symbols as the order (34: 6.5 s).
+# Highest `ch --order`: 1.1-2.0 s with as many symbols as the order (34: 2.1-2.8 s).
 MAX_CH_ORDER = 32
 # Highest `todd --order`: about 3 s; 600 takes 5 s and 1000 about 30 s.
 MAX_TODD_ORDER = 500
 # Most `ch --chern` symbols.  Symbols past --order get no generator, so 48
-# symbols cost what 32 do at `--order 32`.
+# symbols cost what 32 do at `--order 32` (1.8-1.9 s).
 MAX_CH_SYMBOLS = 48
 # Largest |--twist| of `chi pn` and `verify grr`: adds under 0.1 s at the
 # largest --dim; twists of 10^100 take 0.4 s on P^20 and 10^1000 over 90 s.
@@ -83,7 +83,7 @@ MAX_CHI_PN_DIM = 80
 MAX_GRR_DIM = 60
 MAX_DIAGONAL_DIM = 200
 MAX_ADJUNCTION_DIM = 80
-# Highest `sheaf-chern --codim`: about 1.4 s; 384 takes 3.9 s, 512 5.7 s.
+# Highest `sheaf-chern --codim`: 0.2-0.45 s; 384 takes 0.4-0.5 s, 512 0.6-0.7 s.
 MAX_SHEAF_CODIM = 256
 # Largest |value| of the plain-number flags (ranks, degrees, genus,
 # intersection numbers, lengths).  Their outputs are polynomials of low
@@ -212,9 +212,11 @@ def _cmd_ch(args) -> Outcome:
     names = tuple(filter(None, args.chern.split(",")))
     if not names:
         raise ValueError("--chern needs at least one symbol name")
-    for name in names:
+    for index, name in enumerate(names):
         if not name.isidentifier():
             raise ValueError(f"{name!r} is not a usable symbol name")
+        if name in names[:index]:
+            raise ValueError(f"--chern names the symbol {name!r} twice")
     _check_bound("--chern symbol count", len(names), 1, MAX_CH_SYMBOLS)
     _check_bound("--order", args.order, 0, MAX_CH_ORDER)
     _check_numbers(args, "--rank")

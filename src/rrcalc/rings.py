@@ -7,8 +7,10 @@ any monomial whose exponent overflows its bound, which is the whole
 content of the quotient.  Products run on integers: each exponent vector
 is packed into one int and each operand is scaled to integer numerators
 over one common denominator.  Series evaluation and inversion share that
-kernel, with every power of the argument kept packed.  Scalars are exact
-integers or exact rationals, fixed once per ring.
+kernel, with every power of the argument kept packed, and other modules
+reach it through `_packed`, `_convolve` and `_unpacked` without knowing
+the packing layout.  Scalars are exact integers or exact rationals, fixed
+once per ring.
 Generators may carry weights, and a ring may cap the weighted degree:
 abstract Chern symbols c_i have weight i, truncated above an order.
 """
@@ -21,9 +23,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import and_, mul, rshift
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
-from .series import TruncatedSeries, common_denominator
+from .series import TruncatedSeries
 
 INTEGERS = "integers"
 RATIONALS = "rationals"
@@ -303,12 +305,9 @@ class RingElement:
         if not (self.terms and other.terms):
             # Frequent in Newton's recursions; skips the packing set-up.
             return _raw(self.spec, {})
-        multipliers, _, _, offset, guard = self.spec._packing
-        left, da = common_denominator(self.terms.values())
-        right, db = common_denominator(other.terms.values())
-        left = zip([sum(map(mul, e, multipliers)) + offset for e in self.terms], left)
-        right = list(zip([sum(map(mul, e, multipliers)) for e in other.terms], right))
-        return _unpacked(self.spec, _convolve(left, right, guard), da * db)
+        (left,), da = _packed([self], offset=True)
+        (right,), db = _packed([other])
+        return _unpacked(self.spec, _convolve(self.spec, left, right), da * db)
 
     __rmul__ = __mul__
 
@@ -404,17 +403,49 @@ def _raw(spec: RingSpec, terms: dict[Exponents, Scalar]) -> RingElement:
     return element
 
 
+def _packed(
+    elements: Sequence[RingElement], offset: bool = False
+) -> tuple[list[list[tuple[int, int]]], int]:
+    """Elements of one ring as (packed key, integer numerator) pairs over one denominator.
+
+    Element i is the sum of n / D * x^e over the pairs (key of e, n) in
+    out[i], with D the lcm of every coefficient's denominator (1 over Z).
+    With `offset` the keys carry the packing offset: the left operand of
+    `_convolve`, or a table that `_unpacked` reads.
+    """
+    multipliers, _, _, shift, _ = elements[0].spec._packing
+    if not offset:
+        shift = 0
+    denominator = 1
+    for a in elements:
+        for c in a.terms.values():
+            denominator = lcm(denominator, c.denominator)
+    return [
+        [
+            (sum(map(mul, e, multipliers)) + shift, c.numerator * (denominator // c.denominator))
+            for e, c in a.terms.items()
+        ]
+        for a in elements
+    ], denominator
+
+
 def _convolve(
-    left: Iterable[tuple[int, int]], right: list[tuple[int, int]], guard: int
+    spec: RingSpec,
+    left: Iterable[tuple[int, int]],
+    right: list[tuple[int, int]],
+    sums: dict[int, int] | None = None,
 ) -> dict[int, int]:
     """Numerators of a packed product, key -> sum of na * nb; 0 where terms cancel.
 
     Left keys carry the packing offset and right keys do not, so each sum
     carries it exactly once: a set guard bit means an exponent beyond its
     bound or a weight beyond the cap, a monomial that is zero by
-    nilpotency, and the pair is skipped.  The sums keep the offset.
+    nilpotency, and the pair is skipped.  The sums keep the offset.  Given
+    `sums`, the products are added into it.
     """
-    sums: dict[int, int] = {}
+    guard = spec._packing[4]
+    if sums is None:
+        sums = {}
     get = sums.get
     for ka, na in left:
         for kb, nb in right:
@@ -438,6 +469,14 @@ def _unpacked(spec: RingSpec, sums: Mapping[int, int], denominator: int) -> Ring
     return _raw(spec, out)
 
 
+def _from_numerators(
+    spec: RingSpec, table: Mapping[Exponents, int], denominator: int
+) -> RingElement:
+    # Exponent vectors with integer numerators over `denominator` to an
+    # element of a ring over Q: one Fraction per nonzero monomial.
+    return _raw(spec, {e: Fraction(n, denominator) for e, n in table.items() if n})
+
+
 def eval_series(series: TruncatedSeries, argument: RingElement) -> RingElement:
     """sum series[n] * argument^n, a finite sum by nilpotency.
 
@@ -454,15 +493,14 @@ def eval_series(series: TruncatedSeries, argument: RingElement) -> RingElement:
             "series can only be evaluated at elements with zero constant term"
         )
     spec = argument.spec
-    multipliers, _, _, offset, guard = spec._packing
-    numerators, step = common_denominator(argument.terms.values())
-    base = list(zip([sum(map(mul, e, multipliers)) for e in argument.terms], numerators))
+    offset = spec._packing[3]
+    (base,), step = _packed([argument])
     # Each summand is (c_n, argument^n as offset key -> numerator, its denominator).
     power, denominator = {offset: 1}, 1
     summands = [(spec.coerce(series[0]), power, denominator)]
     n = 1
     while True:
-        power = {k: v for k, v in _convolve(power.items(), base, guard).items() if v}
+        power = {k: v for k, v in _convolve(spec, power.items(), base).items() if v}
         if not power:
             break
         if n > series.order:

@@ -10,7 +10,7 @@ round-trips, and no coefficient is ever rounded.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Collection, Iterable, Union
 
 Rational = Fraction
@@ -175,12 +175,30 @@ class TruncatedSeries:
                 "inner series of a composition must have zero constant term"
             )
         n = min(self.order, inner.order)
-        g = inner.truncated(n)
-        # Horner evaluation: ((cN*g + cN-1)*g + ...) + c0, all at order n.
-        result = TruncatedSeries([self.coefficients[n]], n)
+        # Horner evaluation ((cN*g + cN-1)*g + ...) + c0 at order n, on
+        # integer numerators: result = r / D, g = t * (h / dg), and each
+        # step is reduced by the content of r and D.
+        h, dg = common_denominator(inner.coefficients[1 : n + 1])
+        c = self.coefficients[n]
+        r, denominator = [c.numerator] + [0] * n, c.denominator
         for k in range(n - 1, -1, -1):
-            result = result * g + TruncatedSeries([self.coefficients[k]], n)
-        return result
+            out = [0] * (n + 1)
+            for i, a in enumerate(r[:n]):
+                if a:
+                    for j, b in enumerate(h[: n - i], i + 1):
+                        if b:
+                            out[j] += a * b
+            c = self.coefficients[k]
+            step = lcm(denominator * dg, c.denominator)
+            scale = step // (denominator * dg)
+            if scale != 1:
+                out = [a * scale for a in out]
+            out[0] = c.numerator * (step // c.denominator)
+            content = gcd(step, *out)
+            if content > 1:
+                out = [a // content for a in out]
+            r, denominator = out, step // content
+        return TruncatedSeries([Fraction(a, denominator) for a in r])
 
     def reversion(self) -> "TruncatedSeries":
         """Compositional inverse g with self(g(t)) = g(self(t)) = t.

@@ -31,9 +31,10 @@ from .rings import (
     RingSpec,
     Scalar,
     SpecMismatch,
+    _from_numerators,
     eval_series,
 )
-from .series import TruncatedSeries, exp_deficit_series
+from .series import TruncatedSeries, common_denominator, exp_deficit_series
 
 Dims = tuple[int, ...]
 
@@ -146,8 +147,13 @@ def twist_theory(base: TheoryModel, series: TruncatedSeries) -> TheoryModel:
 
 def ring_of(theory: TheoryModel, dims) -> RingSpec:
     """The theory's ring on P^d1 x ... x P^dk: one bound-d_i generator per factor."""
-    dims = _dims(dims)
-    return RingSpec(_names(theory.generator_symbol, len(dims)), dims, theory.scalars)
+    return _ring(theory.generator_symbol, _dims(dims), theory.scalars)
+
+
+@lru_cache(maxsize=None)
+def _ring(symbol: str, dims: Dims, scalars: str) -> RingSpec:
+    # One shared spec per shape, so its packing layout is built once.
+    return RingSpec(_names(symbol, len(dims)), dims, scalars)
 
 
 def k_line_class(n: int, m: int) -> RingElement:
@@ -297,11 +303,13 @@ def pushforward(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement
 
 
 @lru_cache(maxsize=None)
-def _character_matrix(d: int) -> tuple[tuple[Fraction, ...], ...]:
-    """M[r][f] = [h^f] (1 - e^(-h))^r for 0 <= r, f <= d, the image of t^r on P^d.
+def _character_matrix(d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(N, D) with N[r][f] / D = [h^f] (1 - e^(-h))^r for 0 <= r, f <= d.
 
-    Row r is the r-th power of one series truncated at order d, so the
-    table costs d series products, once per d.  M[r][f] = 0 for f < r.
+    Row r is the image of t^r on P^d: the r-th power of one series
+    truncated at order d, so the table costs d series products, once per
+    d, and is kept as integer numerators over one common denominator.
+    N[r][f] = 0 for f < r.
     """
     image = exp_deficit_series(d).times_t().truncated(d)
     row = TruncatedSeries([1], d)
@@ -309,7 +317,10 @@ def _character_matrix(d: int) -> tuple[tuple[Fraction, ...], ...]:
     for _ in range(d):
         row = row * image
         rows.append(row.coefficients)
-    return tuple(rows)
+    numerators, denominator = common_denominator([c for row in rows for c in row])
+    width = d + 1
+    matrix = tuple(tuple(numerators[r * width : (r + 1) * width]) for r in range(width))
+    return matrix, denominator
 
 
 def universal_morphism(a: RingElement) -> RingElement:
@@ -318,25 +329,29 @@ def universal_morphism(a: RingElement) -> RingElement:
     Well defined because (1 - e^(-h))^(n+1) = h^(n+1) * unit = 0 in the
     truncated ring; this is the Chern character on line-bundle classes.
     Being a ring morphism fixed on generators, it is linear in each
-    factor's exponent: the coefficient table goes through the matrix of
+    factor's exponent: the coefficient table, as integer numerators over
+    one denominator, goes through the integer matrix of
     `_character_matrix` one factor at a time, with no ring product.
     """
     dims = a.spec.bounds
     if a.spec.variables != _names("t", len(dims)):
         raise SpecMismatch(f"{a.spec} is not a K-theory ring")
-    table: dict[tuple[int, ...], Scalar] = a.terms
+    numerators, denominator = common_denominator(a.terms.values())
+    table = dict(zip(a.terms, numerators))
     for i, d in enumerate(dims):
-        matrix = _character_matrix(d)
-        image: dict[tuple[int, ...], Scalar] = {}
+        matrix, scale = _character_matrix(d)
+        denominator *= scale
+        image: dict[tuple[int, ...], int] = {}
+        get = image.get
         for exps, c in table.items():
             row = matrix[exps[i]]
             head, tail = exps[:i], exps[i + 1 :]
             for f in range(exps[i], d + 1):
                 if row[f]:
                     key = head + (f,) + tail
-                    image[key] = image.get(key, 0) + c * row[f]
+                    image[key] = get(key, 0) + c * row[f]
         table = image
-    return ring_of(CHOW_Q, dims).element(table)
+    return _from_numerators(ring_of(CHOW_Q, dims), table, denominator)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ extensions can be checked against literal sums and products of F(root).
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -29,6 +30,7 @@ from rrcalc.bundles import (
     whitney_sum,
 )
 from rrcalc.rings import (
+    INTEGERS,
     RATIONALS,
     InsufficientOrder,
     IntegerDomain,
@@ -346,3 +348,208 @@ def test_symbols_above_the_order_get_no_generator():
         assert [str(row) for row in rows] == [str(row) for row in few]
         assert rows[0].spec.variables == many[:8]
     assert character_rows(3, many, 0)[0].spec.variables == ()
+
+
+# ------------------------------------------- the integer kernels against the old loops
+
+
+def _newton_e_to_p_by_products(elementary, up_to):
+    """The loop the integer kernel replaced: whole-element products and sums."""
+    if not elementary:
+        raise ValueError("need at least e_1 (possibly zero) to fix the ring")
+    spec = elementary[0].spec
+
+    def e(i):
+        return elementary[i - 1] if i <= len(elementary) else spec.zero()
+
+    p = []
+    for n in range(1, up_to + 1):
+        acc = e(n) * ((-1) ** (n - 1) * n)
+        for i in range(1, n):
+            acc = acc + e(i) * ((-1) ** (i - 1)) * p[n - i - 1]
+        p.append(acc)
+    return p
+
+
+def _newton_p_to_e_by_products(power_sums, up_to):
+    """The inverse loop the integer kernel replaced."""
+    if not power_sums:
+        raise ValueError("need at least p_1 (possibly zero) to fix the ring")
+    spec = power_sums[0].spec
+    if spec.scalars != RATIONALS:
+        raise IntegerDomain("recovering e_n from power sums divides by n")
+
+    def p(i):
+        return power_sums[i - 1] if i <= len(power_sums) else spec.zero()
+
+    e = []
+    for n in range(1, up_to + 1):
+        acc = p(n) * ((-1) ** (n - 1))
+        for i in range(1, n):
+            acc = acc + e[n - i - 1] * p(i) * ((-1) ** (i - 1))
+        e.append(acc * Fraction(1, n))
+    return e
+
+
+def _additive_extension_by_products(series, e):
+    """F[0]*rank + sum F[n]*p_n by element sums, with the old Newton loop's p_n."""
+    result = e.spec.scalar(series[0] * e.rank)
+    degree = e.spec.total_degree
+    power_sums = _newton_e_to_p_by_products(e.chern_classes(), degree) if degree else []
+    for n, p_n in enumerate(power_sums, start=1):
+        if p_n.is_zero():
+            continue
+        if n > series.order:
+            raise InsufficientOrder(
+                f"series of order {series.order} is too short: p_{n} != 0"
+            )
+        result = result + p_n * series[n]
+    return result
+
+
+def _outcome(compute, *args):
+    """Terms and scalar types of each result, or the error's class and message."""
+    try:
+        value = compute(*args)
+    except ValueError as error:
+        return type(error), str(error)
+    values = value if isinstance(value, list) else [value]
+    return [(v.terms, sorted({type(c).__name__ for c in v.terms.values()})) for v in values]
+
+
+def _random_spec(rng: random.Random, scalars: str) -> RingSpec:
+    """0-3 variables, maybe weighted, maybe capped."""
+    count = rng.randint(0, 3)
+    bounds = [rng.randint(0, 4) for _ in range(count)]
+    weights = None if rng.random() < 0.5 else [rng.randint(1, 3) for _ in range(count)]
+    cap = None if rng.random() < 0.5 else rng.randint(0, 7)
+    return RingSpec(tuple(f"x{i}" for i in range(count)), bounds, scalars, weights, cap)
+
+
+def _random_scalar(rng: random.Random, scalars: str):
+    value = rng.randint(-6, 6)
+    return value if scalars == INTEGERS else Fraction(value, rng.randint(1, 6))
+
+
+def _random_element(rng: random.Random, spec: RingSpec, constant=None):
+    """Random terms, zero in one case of eight; `constant` fixes the constant term."""
+    terms = {}
+    if rng.random() >= 0.125:
+        monomials = list(spec.monomials())
+        for exponents in rng.sample(monomials, rng.randint(0, len(monomials))):
+            terms[exponents] = _random_scalar(rng, spec.scalars)
+    if constant is not None:
+        terms[(0,) * len(spec.variables)] = constant
+    return spec.element(terms)
+
+
+def _random_inputs(rng: random.Random, scalars: str):
+    """Newton inputs; one list in eight mixes in an element of another ring."""
+    spec = _random_spec(rng, scalars)
+    elements = [_random_element(rng, spec) for _ in range(rng.randint(0, 4))]
+    if len(elements) > 1 and rng.random() < 0.125:
+        other = RingSpec(("y",), (2,), scalars)
+        elements[rng.randrange(1, len(elements))] = _random_element(rng, other)
+    return elements, rng.randint(0, 6)
+
+
+def _kinds(outcome) -> str:
+    return outcome[0].__name__ if isinstance(outcome, tuple) else "value"
+
+
+def test_newton_matches_the_product_loops_on_seeded_cases():
+    rng = random.Random(909)
+    seen = set()
+    for case in range(1200):
+        scalars = (INTEGERS, RATIONALS)[case % 2]
+        elements, up_to = _random_inputs(rng, scalars)
+        forward = _outcome(newton_e_to_p, elements, up_to)
+        assert forward == _outcome(_newton_e_to_p_by_products, elements, up_to)
+        backward = _outcome(newton_p_to_e, elements, up_to)
+        assert backward == _outcome(_newton_p_to_e_by_products, elements, up_to)
+        seen |= {("e_to_p", _kinds(forward)), ("p_to_e", _kinds(backward))}
+    assert seen == {
+        ("e_to_p", "value"),
+        ("e_to_p", "ValueError"),
+        ("e_to_p", "SpecMismatch"),
+        ("p_to_e", "value"),
+        ("p_to_e", "ValueError"),
+        ("p_to_e", "SpecMismatch"),
+        ("p_to_e", "IntegerDomain"),
+    }
+
+
+def test_newton_over_the_integers_returns_ints():
+    spec = RingSpec(("x", "y"), (3, 2), INTEGERS, (1, 2), 5)
+    elementary = [3 * spec.generator(0), spec.generator(1) - spec.generator(0) ** 2]
+    power_sums = newton_e_to_p(elementary, 5)
+    assert power_sums == _newton_e_to_p_by_products(elementary, 5)
+    assert all(type(c) is int for p in power_sums for c in p.terms.values())
+
+
+def test_newton_keeps_rational_power_sums_over_powers_of_the_denominator():
+    # e_i with denominators 2, 3 and 6: every p_n is exact, and p_n -> e_n
+    # round-trips through the content reduction.
+    spec = RingSpec(("x",), (6,), RATIONALS)
+    x = spec.generator(0)
+    elementary = [x * Fraction(1, 2), x**2 * Fraction(-2, 3), x**3 * Fraction(5, 6)]
+    power_sums = newton_e_to_p(elementary, 6)
+    assert power_sums == _newton_e_to_p_by_products(elementary, 6)
+    assert newton_p_to_e(power_sums, 3) == elementary
+
+
+def _random_extension_case(rng: random.Random, scalars: str):
+    """A bundle on a random ring and a series.
+
+    The series is shorter than the ring's degree in about one case in
+    four; over Z, about three coefficients in ten may be fractions.
+    """
+    spec = _random_spec(rng, scalars)
+    bundle = BundleClass(rng.randint(-3, 5), _random_element(rng, spec, constant=1))
+    order = rng.randint(0, spec.total_degree + 1)
+    if rng.random() < 0.25:
+        order = rng.randint(0, max(spec.total_degree - 1, 0))
+    coefficients = [
+        rng.choice((0, rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 7))))
+        if scalars == RATIONALS or rng.random() < 0.3
+        else rng.randint(-5, 5)
+        for _ in range(order + 1)
+    ]
+    return TruncatedSeries(coefficients), bundle
+
+
+def test_additive_extension_matches_the_product_loop_on_seeded_cases():
+    rng = random.Random(1279)
+    seen = set()
+    for case in range(1200):
+        series, bundle = _random_extension_case(rng, (INTEGERS, RATIONALS)[case % 2])
+        outcome = _outcome(additive_extension, series, bundle)
+        assert outcome == _outcome(_additive_extension_by_products, series, bundle)
+        seen.add(_kinds(outcome))
+    assert seen == {"value", "IntegerDomain", "InsufficientOrder"}
+
+
+def test_additive_extension_errors_keep_their_order():
+    spec = RingSpec(("x",), (3,))
+    bundle = BundleClass(1, spec.one() + spec.generator(0))  # p_1, p_2, p_3 all nonzero
+    half = Fraction(1, 2)
+    for series, error in (
+        (TruncatedSeries([half, 1]), "1/2 is not an integer"),  # F[0]*rank first
+        (TruncatedSeries([1, half]), "1/2 is not an integer"),  # then F[1] before p_2
+        (TruncatedSeries([1, 1, half]), "1/2 is not an integer"),
+        (TruncatedSeries([1, 1]), "too short: p_2 != 0"),
+    ):
+        for compute in (additive_extension, _additive_extension_by_products):
+            with pytest.raises((IntegerDomain, InsufficientOrder), match=error):
+                compute(series, bundle)
+
+
+def test_chern_from_character_at_codim_256_matches_the_product_loop():
+    # The sheaf-chern bound: ch = h^256 in Q[h]/(h^513), Newton back to e_n.
+    spec = RingSpec(("h",), (512,), RATIONALS)
+    character = spec.generator(0) ** 256
+    pieces = character.graded_components()[1:]
+    power_sums = [piece * factorial(n) for n, piece in enumerate(pieces, start=1)]
+    recovered = chern_from_character(character, 0).chern_classes()
+    assert recovered == _newton_p_to_e_by_products(power_sums, len(power_sums))
+    assert recovered[255] == spec.generator(0) ** 256 * (-factorial(255))

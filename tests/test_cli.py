@@ -267,6 +267,17 @@ def test_chern_symbol_count_outside_its_bound_is_a_usage_error(capsys):
     assert f"1..{bound}" in out
 
 
+@pytest.mark.parametrize("order", ["0", "1", "2", "3", "8"])
+@pytest.mark.parametrize("names", ["c1,c1", "c1,c2,c1", " c2 , c1,c2"])
+def test_repeated_chern_symbols_are_a_usage_error_at_every_order(capsys, names, order):
+    # Symbols above the order get no generator, so a repeat there used to pass.
+    code, out, err = invoke(capsys, "ch", "--chern", names, "--order", order)
+    assert code == 2
+    assert out == ""
+    repeated = "c2" if names.startswith(" c2") else "c1"
+    assert err == f"error: --chern names the symbol '{repeated}' twice\n"
+
+
 @pytest.mark.parametrize(
     "argv, flags, low",
     [

@@ -218,10 +218,11 @@ def test_character_matrix_rows_match_stirling_numbers():
     from rrcalc.theories import _character_matrix
 
     for d in range(13):
-        matrix = _character_matrix(d)
+        matrix, denominator = _character_matrix(d)
         assert len(matrix) == d + 1
         for r, row in enumerate(matrix):
-            assert list(row) == [
+            assert all(isinstance(n, int) for n in row)
+            assert [Fraction(n, denominator) for n in row] == [
                 Fraction((-1) ** (f + r) * factorial(r) * int(stirling(f, r)), factorial(f))
                 for f in range(d + 1)
             ]

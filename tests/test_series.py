@@ -99,6 +99,65 @@ def test_compose_requires_nilpotent_inner():
         TruncatedSeries([1, 1]).compose(TruncatedSeries([1, 1]))
 
 
+def _compose_by_horner(outer, inner):
+    """The composition the integer kernel replaced: Horner on whole series."""
+    if inner.coefficients[0] != 0:
+        raise NonzeroInnerConstant(
+            "inner series of a composition must have zero constant term"
+        )
+    n = min(outer.order, inner.order)
+    g = inner.truncated(n)
+    result = TruncatedSeries([outer.coefficients[n]], n)
+    for k in range(n - 1, -1, -1):
+        result = result * g + TruncatedSeries([outer.coefficients[k]], n)
+    return result
+
+
+def _composition(compose, outer, inner):
+    """Coefficients and their types, or the error's class and message."""
+    try:
+        value = compose(outer, inner)
+    except ValueError as error:
+        return type(error), str(error)
+    return value.coefficients, {type(c) for c in value.coefficients}
+
+
+def _random_series(rng: random.Random, order: int, constant=None) -> TruncatedSeries:
+    coefficients = [
+        rng.choice((0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
+        for _ in range(order + 1)
+    ]
+    if constant is not None:
+        coefficients[0] = constant
+    return TruncatedSeries(coefficients)
+
+
+def test_compose_matches_the_horner_loop_on_seeded_cases():
+    rng = random.Random(1074)
+    seen = set()
+    for _ in range(600):
+        outer = _random_series(rng, rng.randint(0, 12))
+        constant = rng.choice((1, Fraction(-1, 3))) if rng.random() < 0.1 else 0
+        inner = _random_series(rng, rng.randint(0, 12), constant)
+        outcome = _composition(TruncatedSeries.compose, outer, inner)
+        assert outcome == _composition(_compose_by_horner, outer, inner)
+        seen.add(outcome[0] if outcome[0] is NonzeroInnerConstant else frozenset(outcome[1]))
+    assert seen == {NonzeroInnerConstant, frozenset({Fraction})}
+
+
+@pytest.mark.parametrize("order", [28, 40])
+def test_compose_matches_the_horner_loop_at_large_orders(order):
+    rng = random.Random(order)
+    gap = todd_series(order) - TruncatedSeries([1], order)
+    cases = [
+        (log_one_plus_series(order), gap),  # the genus log of the Todd series
+        (exponential_series(order), exp_deficit_series(order).times_t().truncated(order)),
+        (_random_series(rng, order), _random_series(rng, order, 0)),
+    ]
+    for outer, inner in cases:
+        assert outer.compose(inner) == _compose_by_horner(outer, inner)
+
+
 def test_reversion_catalan_signs():
     # t + t^2 reverts to t - t^2 + 2t^3 - 5t^4: signed Catalan numbers.
     series = TruncatedSeries([0, 1, 1], order=4)

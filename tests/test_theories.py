@@ -189,6 +189,15 @@ def test_ring_of_naming():
     assert ring_of(exp_deficit_twist(), (1, 1)).scalars == RATIONALS
 
 
+def test_ring_of_shares_one_spec_per_shape():
+    assert ring_of(CHOW, [2, 1]) is ring_of(CHOW, (2, 1))
+    assert ring_of(CHOW_Q, 2) is ring_of(exp_deficit_twist(), (2,))
+    assert ring_of(CHOW, (2,)) is not ring_of(CHOW_Q, (2,))
+    assert ring_of(CHOW, (2,)) is not ring_of(K_THEORY, (2,))
+    with pytest.raises(ValueError, match="factor dimensions must be >= 0"):
+        ring_of(CHOW, (-1,))
+
+
 def test_line_class_values():
     spec = ring_of(K_THEORY, (2,))
     t = spec.generator(0)
@@ -542,6 +551,63 @@ def test_universal_morphism_matches_the_product_route():
     spec = ring_of(K_THEORY, (40,))
     a = spec.element({(r,): rng.randint(-9, 9) for r in range(41)})
     assert universal_morphism(a) == _universal_morphism_by_products(a)
+
+
+def _universal_morphism_by_fraction_matrix(a):
+    """The matrix pass the integer kernel replaced: Fraction rows, Fraction sums."""
+    dims = a.spec.bounds
+    names = ("t",) if len(dims) == 1 else tuple(f"t{i + 1}" for i in range(len(dims)))
+    if a.spec.variables != names:
+        raise SpecMismatch(f"{a.spec} is not a K-theory ring")
+    table = a.terms
+    for i, d in enumerate(dims):
+        image_series = exp_deficit_series(d).times_t().truncated(d)
+        row, matrix = TruncatedSeries([1], d), []
+        for _ in range(d + 1):
+            matrix.append(row.coefficients)
+            row = row * image_series
+        image = {}
+        for exps, c in table.items():
+            for f in range(exps[i], d + 1):
+                if matrix[exps[i]][f]:
+                    key = exps[:i] + (f,) + exps[i + 1 :]
+                    image[key] = image.get(key, 0) + c * matrix[exps[i]][f]
+        table = image
+    return ring_of(CHOW_Q, dims).element(table)
+
+
+def _image(morphism, a):
+    """Terms and scalar types of the image, or the error's class and message."""
+    try:
+        value = morphism(a)
+    except ValueError as error:
+        return type(error), str(error)
+    return value.terms, {type(c) for c in value.terms.values()}
+
+
+def test_universal_morphism_matches_the_fraction_matrix_on_seeded_cases():
+    rng = random.Random(2025)
+    refused = 0
+    for case in range(400):
+        dims = tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 3)))
+        scalars = (INTEGERS, RATIONALS)[case % 2]
+        beta = 0 if case % 5 == 0 else 1  # one case in five is a Chow class
+        spec = ring_of(TheoryModel(beta, scalars), dims)
+        a = spec.element(
+            {
+                e: Fraction(rng.randint(-9, 9), rng.randint(1, 6) if scalars == RATIONALS else 1)
+                for e in spec.monomials()
+                if rng.random() < 0.6
+            }
+        )
+        outcome = _image(universal_morphism, a)
+        assert outcome == _image(_universal_morphism_by_fraction_matrix, a)
+        if beta == 0 and dims:
+            refused += 1
+            assert outcome[0] is SpecMismatch
+        else:
+            assert outcome[1] <= {Fraction}
+    assert refused > 0
 
 
 def test_universal_morphism_rejects_non_k_input():
