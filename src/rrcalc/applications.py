@@ -1,16 +1,20 @@
 """Riemann-Roch identities and the closed-form consequences.
 
-The central check is the residual
+K-theory is the universal theory for the law x + y - xy, and the
+additive model twisted by F = (1 - e^-t)/t carries that same law, so
+the universal morphism phi: t |-> 1 - e^(-h) commutes with direct
+images into the twisted theory.  The central check is the residual
 
-    ch(f_!(a)) - Td(T_X)^(-1) * f_*(Td(T_Y) * ch(a))
+    phi(f_!(a)) - f^tw_*(phi(a))
 
-for a map f: Y -> X carrying a K-theory class a; it vanishes exactly
-when the direct-image square commutes for that pair.  The rest of the
-module specializes the same identity to numbers: Euler characteristics
-on projective spaces, chi for abstract curves and surfaces given by
-intersection data, adjunction for hypersurfaces, Chern classes of
-structure sheaves, and the Zeuthen-Segre count for surfaces fibered by
-a pencil.
+for a map f: Y -> X carrying a K-theory class a; the twisted
+pushforward multiplies by Td(T_f) = (1/F)_x(T_f) before pushing, so the
+residual vanishes exactly when the Grothendieck-Riemann-Roch square
+commutes for that pair.  The rest of the module specializes the same
+identity to numbers: Euler characteristics on projective spaces, chi
+for abstract curves and surfaces given by intersection data, adjunction
+for hypersurfaces, Chern classes of structure sheaves, and the
+Zeuthen-Segre count for surfaces fibered by a pencil.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .theories import (
     pushforward,
     ring_of,
     space_tangent,
+    twist_theory,
     universal_morphism,
 )
 
@@ -92,18 +97,14 @@ class FormSingularityData:
 
 
 @lru_cache(maxsize=None)
-def _space_todd(dims: tuple[int, ...]) -> RingElement:
-    """Td(T_X) of X = P^d1 x ... x P^dk in CHOW_Q, computed once per shape.
+def _todd_twist(n: int) -> TheoryModel:
+    """CHOW_Q twisted by (1 - e^-t)/t at order n, one theory per source dimension.
 
-    Every caller shares the returned element, so it is never mutated.
+    Order n covers every T_f on an n-dimensional source.  The shared
+    theory keeps each morphism's Todd correction in `_corrections`
+    across calls.
     """
-    return todd_class(space_tangent(CHOW_Q, dims))
-
-
-@lru_cache(maxsize=None)
-def _space_todd_inverse(dims: tuple[int, ...]) -> RingElement:
-    """Td(T_X)^(-1), inverted once per shape and shared like `_space_todd`."""
-    return _space_todd(dims).inverse()
+    return twist_theory(CHOW_Q, exp_deficit_series(n))
 
 
 def verify_grr(n: int, f: Morphism, a: RingElement) -> RingElement:
@@ -111,32 +112,28 @@ def verify_grr(n: int, f: Morphism, a: RingElement) -> RingElement:
 
     `n` is the dimension of the source, as a guard against mixing up
     descriptors; `a` is a K-theory class on the source.  The residual
-    is ch(f_!(a)) - Td(T_X)^(-1) * f_*(Td(T_Y) * ch(a)) and a zero
-    return value verifies the identity for this pair.
+    is phi(f_!(a)) - f^tw_*(phi(a)), with phi the universal morphism and
+    f^tw_* the pushforward of the Todd-twisted additive theory, and a
+    zero return value verifies the identity for this pair.
     """
     if sum(f.source) != n:
         raise SpecMismatch(f"source of {f} has dimension {sum(f.source)}, not {n}")
     direct = universal_morphism(pushforward(TheoryModel(1, a.spec.scalars), f, a))
-    source_density = _space_todd(f.source) * universal_morphism(a)
-    corrected = _space_todd_inverse(f.target) * pushforward(CHOW_Q, f, source_density)
-    return direct - corrected
+    return direct - pushforward(_todd_twist(n), f, universal_morphism(a))
 
 
 def euler_characteristic_pn(n: int, d: int) -> int:
     """chi(P^n, O(d)) computed two independent ways.
 
     The K-theory point pushforward gives it directly; the rational
-    route integrates Td(T) * ch(O(d)) over the additive model.  The two
-    must agree, or the models themselves are broken.
+    route pushes ch(O(d)) to the point in the Todd-twisted additive
+    theory, which integrates Td(T) * ch(O(d)).  The two must agree, or
+    the models themselves are broken.
     """
     bundle = k_line_class(n, d)
-    direct = pushforward(
-        K_THEORY, point_projection(K_THEORY, n), bundle
-    ).constant_term
-    density = _space_todd((n,)) * universal_morphism(bundle)
-    graded = pushforward(
-        CHOW_Q, point_projection(CHOW_Q, n), density
-    ).constant_term
+    p = point_projection(K_THEORY, n)
+    direct = pushforward(K_THEORY, p, bundle).constant_term
+    graded = pushforward(_todd_twist(n), p, universal_morphism(bundle)).constant_term
     if graded != direct:
         raise GRRMismatch(
             f"chi(P^{n}, O({d})): K pushforward gives {direct}, "
@@ -208,7 +205,7 @@ def hypersurface_grr_identity(n: int, q: int) -> RingElement:
     h = spec.generator(0)
     hypersurface = q * h
     character = eval_series(exp_deficit_series(n).times_t(), hypersurface)
-    expansion = character * _space_todd((n,))
+    expansion = character * todd_class(space_tangent(CHOW_Q, (n,)))
     truncated = sum(expansion.graded_components()[:3], spec.zero())
     canonical = -(n + 1) * h
     direct = hypersurface - Fraction(1, 2) * (

@@ -96,14 +96,6 @@ def whitney_difference(e: BundleClass, f: BundleClass) -> BundleClass:
     return BundleClass(e.rank - f.rank, e.total_chern * f.total_chern.inverse())
 
 
-def dual_bundle(e: BundleClass) -> BundleClass:
-    """The dual in the additive model: roots negate, c_i picks up (-1)^i."""
-    total = e.spec.zero()
-    for n, piece in enumerate(e.total_chern.graded_components()):
-        total = total + piece * ((-1) ** n)
-    return BundleClass(e.rank, total)
-
-
 def _one_ring(elements: Sequence[RingElement], up_to: int) -> RingSpec:
     # The ring of elements[0].  Newton's recursions first mix element n
     # with the earlier ones at step n, so one of another ring is refused
@@ -245,7 +237,11 @@ def todd_class(e: BundleClass) -> RingElement:
 def _symbol_bundle(rank: int, symbols: Sequence[str], order: int) -> BundleClass:
     # The universal bundle: total Chern class 1 + c_1 + ... + c_m, with c_i
     # of weight i, in a ring truncated above weight `order`.  A symbol of
-    # weight above the order is zero there, so it gets no generator.
+    # weight above the order is zero there, so it gets no generator, but a
+    # repeated name is refused at every order.
+    for index, name in enumerate(symbols):
+        if name in symbols[:index]:
+            raise ValueError(f"the symbol {name!r} is named twice")
     symbols = symbols[:order]
     weights = tuple(range(1, len(symbols) + 1))
     bounds = tuple(order // w for w in weights)

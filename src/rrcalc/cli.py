@@ -75,10 +75,10 @@ MAX_CH_SYMBOLS = 48
 # largest --dim; twists of 10^100 take 0.4 s on P^20 and 10^1000 over 90 s.
 MAX_TWIST = 10**6
 # Highest --dim per command, with its time at the bound and one step up, for
-# one process including about 0.2 s of interpreter start and imports:
-# chi pn 0.6-0.75 s (100: 1.1 s); verify grr 0.55-0.65 s with --immersion 59
-# (70: 0.9 s, 80: 1.0 s); diagonal 3.5 s (240: 5.2 s); adjunction 0.45-0.6 s
-# (100: 0.8-1.0 s).
+# one process including about 0.1 s of interpreter start and imports:
+# chi pn 0.27-0.39 s (100: 0.64-0.80 s); verify grr 0.23-0.25 s with
+# --immersion 59 (70: 0.32-0.37 s, 80: 0.41-0.45 s); diagonal 3.5 s (240:
+# 5.2 s); adjunction 0.23-0.29 s (100: 0.45-0.57 s).
 MAX_CHI_PN_DIM = 80
 MAX_GRR_DIM = 60
 MAX_DIAGONAL_DIM = 200

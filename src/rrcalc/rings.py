@@ -364,10 +364,6 @@ class RingElement:
         exponents = self.spec.check_exponents(exponents)
         return self.terms.get(exponents, 0)
 
-    def widened(self) -> "RingElement":
-        """The same element over rational scalars."""
-        return RingElement(self.spec.rationalized(), self.terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -248,22 +248,3 @@ def log_one_plus_series(order: int) -> TruncatedSeries:
     coeffs.extend(Fraction((-1) ** (n + 1), n) for n in range(1, order + 1))
     return TruncatedSeries(coeffs)
 
-
-_STANDARD = {
-    "exp_deficit": exp_deficit_series,
-    "todd": todd_series,
-    "exponential": exponential_series,
-}
-
-
-def standard_series(name: str, order: int) -> TruncatedSeries:
-    """One of the named series: exp_deficit, todd, or exponential."""
-    try:
-        maker = _STANDARD[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown series {name!r}; expected one of {sorted(_STANDARD)}"
-        ) from None
-    if order < 0:
-        raise ValueError("series order must be >= 0")
-    return maker(order)

@@ -273,16 +273,20 @@ def pushforward(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement
     * linear immersion P^m in P^n: x^r |-> x^(r + n - m);
     * projections: x^r |-> beta^(top - r) on the collapsed generator;
     * twisted theory: untwisted pushforward of F_x(T_f)^(-1) * a, with
-      T_f = relative_tangent(theory, f); the correction F_x(T_f)^(-1) is
-      computed once per theory and morphism.
+      T_f = relative_tangent(theory, f); the correction, computed as
+      (1/F)_x(T_f), is kept once per theory and morphism.
     """
     if a.spec != ring_of(theory, f.source):
         raise SpecMismatch(f"{a.spec} is not the source ring of {f}")
     if theory.twist is not None:
         correction = theory._corrections.get(f)
         if correction is None:
-            genus = multiplicative_extension(theory.twist, relative_tangent(theory, f))
-            correction = theory._corrections[f] = genus.inverse()
+            # F_x(T_f)^(-1) = (1/F)_x(T_f): invert the series, not the ring
+            # element, after cutting it to the degree the extension reads.
+            tangent = relative_tangent(theory, f)
+            order = min(theory.twist.order, tangent.spec.total_degree)
+            inverse = theory.twist.truncated(order).inverse()
+            correction = theory._corrections[f] = multiplicative_extension(inverse, tangent)
         carrier = TheoryModel(theory.beta, RATIONALS)
         return pushforward(carrier, f, correction * a)
     target_spec = ring_of(theory, f.target)

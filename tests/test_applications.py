@@ -1,5 +1,8 @@
 """Tests for the Riemann-Roch applications: residuals, chi formulas, counts."""
 
+import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -17,29 +20,30 @@ from rrcalc import (
     NonIntegerChi,
     SpecMismatch,
     SurfaceBundle,
+    TheoryModel,
     canonical_degree_hypersurface,
     chi_curve,
     chi_surface,
     euler_characteristic_pn,
-    exp_deficit_series,
+    factor_projection,
     hypersurface_grr_identity,
     k_line_class,
     linear_immersion,
     point_projection,
     pushforward,
+    relative_tangent,
     ring_of,
     space_tangent,
     structure_sheaf_chern,
     todd_class,
-    twist_theory,
     universal_morphism,
     verify_grr,
     zeuthen_segre,
 )
-from rrcalc import acceptance
+from rrcalc import acceptance, applications, theories
 from rrcalc.acceptance import run_criterion
-from rrcalc.applications import _space_todd, _space_todd_inverse
-from rrcalc.rings import RingElement
+from rrcalc.applications import _todd_twist
+from rrcalc.rings import INTEGERS, RATIONALS
 
 
 # ---------------------------------------------------------------- the residual
@@ -69,54 +73,122 @@ def test_grr_residual_vanishes_for_twisted_points():
             assert verify_grr(n, f, k_line_class(n, d)).is_zero()
 
 
-def test_cached_classes_are_unchanged_by_the_grr_grid():
-    # The cached Todd classes and twist corrections are shared elements;
-    # running criterion 3 twice must leave their terms as they were.
-    tw = twist_theory(CHOW_Q, exp_deficit_series(12))
-    f = linear_immersion(tw, 1, 3)
-    line = ring_of(tw, (1,)).generator(0)
-    pushforward(tw, f, line)
-    correction = tw._corrections[f]
-    todds = {dims: _space_todd(dims) for dims in ((3,), (5,), (6,))}
-    before = [dict(correction.terms)] + [dict(t.terms) for t in todds.values()]
-    for _ in range(2):
-        assert run_criterion(3).passed
-        pushforward(tw, f, line)
-    assert tw._corrections[f] is correction
-    for dims, todd in todds.items():
-        assert _space_todd(dims) is todd
-        assert todd == todd_class(space_tangent(CHOW_Q, dims))
-    assert [dict(correction.terms)] + [dict(t.terms) for t in todds.values()] == before
+def _grr_residual_by_todd_classes(n, f, a, k_pushforward=pushforward):
+    """ch(f_! a) - Td(T_X)^(-1) * f_*(Td(T_Y) * ch(a)), from the two Todd classes.
+
+    The Todd-sandwich formula, assembled by hand: an independent route to
+    the residual that `verify_grr` reads off the Todd-twisted theory.
+    `k_pushforward` stands in for the K-theory direct image.
+    """
+    assert sum(f.source) == n
+    direct = universal_morphism(k_pushforward(TheoryModel(1, a.spec.scalars), f, a))
+    source_todd = todd_class(space_tangent(CHOW_Q, f.source))
+    target_todd = todd_class(space_tangent(CHOW_Q, f.target))
+    pushed = pushforward(CHOW_Q, f, source_todd * universal_morphism(a))
+    return direct - target_todd.inverse() * pushed
 
 
-def test_grr_grid_inverts_each_target_todd_class_once(monkeypatch):
-    _space_todd_inverse.cache_clear()
-    inverted, targets, residuals = [], set(), [[], []]
-    invert, verify = RingElement.inverse, acceptance.verify_grr
+def _k_pushforward_plus_one(theory, f, a):
+    """The direct image, with 1 added on the K-theory side only."""
+    pushed = pushforward(theory, f, a)
+    return pushed + 1 if theory.beta == 1 else pushed
 
-    def recording_inverse(self):
-        inverted.append(self)
-        return invert(self)
 
-    monkeypatch.setattr(RingElement, "inverse", recording_inverse)
-    for run in residuals:
+def _seeded_grr_cases(count, seed):
+    """(morphism, K-class) pairs: every morphism shape, Z and Q classes in turn."""
+    rng = random.Random(seed)
+    for index in range(count):
+        f = acceptance._random_morphism(rng, K_THEORY)
+        k_theory = TheoryModel(1, (INTEGERS, RATIONALS)[index % 2])
+        yield f, acceptance._random_element(rng, ring_of(k_theory, f.source))
 
-        def recording_verify(n, f, a):
-            targets.add(f.target)
-            run.append(verify(n, f, a))
-            return run[-1]
 
-        monkeypatch.setattr(acceptance, "verify_grr", recording_verify)
-        assert run_criterion(3).passed
-        if run is residuals[0]:
-            cached = {dims: dict(_space_todd_inverse(dims).terms) for dims in targets}
-    # Both runs together invert each target's Todd class at most once.
-    todds = [e for e in inverted if any(e is _space_todd(dims) for dims in targets)]
-    assert len(todds) == len({id(e) for e in todds}) <= len(targets)
-    assert residuals[0] == residuals[1]
-    assert {dims: dict(_space_todd_inverse(dims).terms) for dims in targets} == cached
-    for dims in targets:
-        assert _space_todd_inverse(dims) * _space_todd(dims) == 1
+def _shape(f):
+    if f.is_immersion:
+        return "immersion in a product" if len(f.source) > 1 else "immersion"
+    return "point projection" if not f.target else "factor projection"
+
+
+def test_grr_residual_matches_the_todd_class_route_on_seeded_cases():
+    seen = Counter()
+    for f, a in _seeded_grr_cases(400, 1010):
+        n = sum(f.source)
+        residual = verify_grr(n, f, a)
+        assert residual == _grr_residual_by_todd_classes(n, f, a)
+        assert residual.is_zero()
+        seen[_shape(f), a.spec.scalars] += 1
+    shapes = ("point projection", "factor projection", "immersion", "immersion in a product")
+    assert set(seen) == {(shape, s) for shape in shapes for s in (INTEGERS, RATIONALS)}
+    assert min(seen.values()) >= 10
+
+
+def test_a_shifted_k_pushforward_leaves_residual_one_on_both_routes(monkeypatch):
+    monkeypatch.setattr(applications, "pushforward", _k_pushforward_plus_one)
+    for f, a in _seeded_grr_cases(60, 1011):
+        n = sum(f.source)
+        assert verify_grr(n, f, a) == 1
+        assert _grr_residual_by_todd_classes(n, f, a, _k_pushforward_plus_one) == 1
+
+
+def _grr_grid_run(monkeypatch):
+    """One run of criterion 3, as the (morphism, residual) pairs it checked."""
+    run, verify = [], applications.verify_grr
+
+    def recording_verify(n, f, a):
+        run.append((f, verify(n, f, a)))
+        return run[-1][1]
+
+    monkeypatch.setattr(acceptance, "verify_grr", recording_verify)
+    assert run_criterion(3).passed
+    return run
+
+
+def test_cached_classes_are_unchanged_by_the_grr_grid(monkeypatch):
+    # The Todd corrections are shared elements on each _todd_twist(n); a
+    # second run of criterion 3 must keep their identity and terms.
+    first = _grr_grid_run(monkeypatch)
+    corrections = {f: _todd_twist(sum(f.source))._corrections[f] for f, _ in first}
+    terms = {f: dict(correction.terms) for f, correction in corrections.items()}
+    assert _grr_grid_run(monkeypatch) == first
+    for f, correction in corrections.items():
+        assert _todd_twist(sum(f.source))._corrections[f] is correction
+        assert dict(correction.terms) == terms[f]
+
+
+def test_grr_grid_computes_each_correction_once(monkeypatch):
+    # Two runs of criterion 3 together build each distinct morphism's
+    # correction once, on the twisted theory of its source dimension.
+    _todd_twist.cache_clear()
+    built, tangent = [], theories.relative_tangent
+
+    def recording_tangent(theory, f):
+        built.append((theory, f))
+        return tangent(theory, f)
+
+    monkeypatch.setattr(theories, "relative_tangent", recording_tangent)
+    first = _grr_grid_run(monkeypatch)
+    assert _grr_grid_run(monkeypatch) == first
+    morphisms = {f for f, _ in first}
+    assert len(built) == len(set(built)) == len(morphisms) == 22
+    assert {f for _, f in built} == morphisms
+    assert all(theory is _todd_twist(sum(f.source)) for theory, f in built)
+
+
+def _morphism_shapes():
+    for width in (1, 2, 3):
+        for dims in itertools.product(range(3), repeat=width):
+            for j, d in enumerate(dims):
+                yield factor_projection(K_THEORY, dims, j)
+                if width < 3:
+                    for codim in range(3):
+                        yield linear_immersion(K_THEORY, d, d + codim, within=dims, factor=j)
+
+
+def test_each_twisted_correction_is_the_relative_todd_class():
+    for f in _morphism_shapes():
+        tw = _todd_twist(sum(f.source))
+        pushforward(tw, f, ring_of(tw, f.source).one())
+        assert tw._corrections[f] == todd_class(relative_tangent(CHOW_Q, f))
 
 
 def test_grr_checks_the_stated_dimension():

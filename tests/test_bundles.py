@@ -20,7 +20,6 @@ from rrcalc.bundles import (
     character_rows,
     chern_character,
     chern_from_character,
-    dual_bundle,
     multiplicative_extension,
     newton_e_to_p,
     newton_p_to_e,
@@ -82,14 +81,6 @@ def test_whitney_sum_and_difference():
     recovered = whitney_difference(both, f)
     assert recovered.rank == e.rank
     assert recovered.total_chern == e.total_chern
-
-
-def test_dual_negates_odd_chern_classes():
-    spec = _root_ring(2)
-    e = _bundle_from_roots(spec, (0, 1))
-    dual = dual_bundle(e)
-    assert dual.chern_class(1) == -e.chern_class(1)
-    assert dual.chern_class(2) == e.chern_class(2)
 
 
 def test_newton_power_sums_match_literal_roots():
@@ -348,6 +339,20 @@ def test_symbols_above_the_order_get_no_generator():
         assert [str(row) for row in rows] == [str(row) for row in few]
         assert rows[0].spec.variables == many[:8]
     assert character_rows(3, many, 0)[0].spec.variables == ()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "symbols, repeated",
+    [(("c1", "c1"), "c1"), (("c1", "c2", "c1"), "c1"), (("c1", "c2", "c3", "c2"), "c2")],
+)
+def test_repeated_symbols_are_refused_at_every_order(symbols, repeated, order):
+    # Symbols above the order get no generator, so a repeat there used to pass.
+    message = f"the symbol '{repeated}' is named twice"
+    with pytest.raises(ValueError, match=message):
+        character_rows(1, symbols, order)
+    with pytest.raises(ValueError, match=message):
+        todd_rows(symbols, order)
 
 
 # ------------------------------------------- the integer kernels against the old loops

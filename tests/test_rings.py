@@ -173,15 +173,6 @@ def test_integer_ring_rejects_fraction_scalars():
     assert spec.element({(1,): Fraction(6, 3)}).coefficient_of((1,)) == 2
 
 
-def test_widened_element_keeps_values():
-    spec = RingSpec(("x",), (2,))
-    element = spec.one() + 2 * spec.generator(0)
-    widened = element.widened()
-    assert widened.spec.scalars == RATIONALS
-    assert widened.coefficient_of((1,)) == 2
-    assert widened * Fraction(1, 2) == widened.spec.scalar(Fraction(1, 2)) + widened.spec.generator(0)
-
-
 def test_rendering_signs_and_fractions():
     spec = RingSpec(("x",), (3,), RATIONALS)
     x = spec.generator(0)
@@ -422,7 +413,7 @@ def test_rationalized_keeps_weights_and_cap():
     widened = spec.rationalized()
     assert widened.scalars == RATIONALS
     assert (widened.weights, widened.cap) == ((1, 2), 2)
-    assert (spec.one() + spec.generator(1)).widened().spec == widened
+    assert widened.element((spec.one() + spec.generator(1)).terms).spec == widened
 
 
 def test_specs_differing_only_in_weights_are_unequal():

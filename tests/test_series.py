@@ -13,7 +13,6 @@ from rrcalc.series import (
     exp_deficit_series,
     exponential_series,
     log_one_plus_series,
-    standard_series,
     todd_series,
 )
 
@@ -233,14 +232,6 @@ def test_deficit_shift_reverts_to_log():
         shifted = exp_deficit_series(depth).times_t()
         expected = [Fraction(0)] + [Fraction(1, n) for n in range(1, depth + 2)]
         assert shifted.reversion().coefficients == tuple(expected)
-
-
-def test_standard_series_dispatch():
-    assert standard_series("todd", 4) == todd_series(4)
-    assert standard_series("exp_deficit", 4) == exp_deficit_series(4)
-    assert standard_series("exponential", 4) == exponential_series(4)
-    with pytest.raises(ValueError):
-        standard_series("bernoulli", 4)
 
 
 def test_equality_and_hash():

@@ -1,6 +1,7 @@
 """Tests for the theory models: laws, morphisms, twisting, duality."""
 
 import random
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 
@@ -13,8 +14,10 @@ from rrcalc import (
     BundleClass,
     FiltrationViolation,
     GKClass,
+    InsufficientOrder,
     Morphism,
     NonUnitConstant,
+    RingElement,
     RingSpec,
     SpecMismatch,
     TheoryModel,
@@ -39,6 +42,7 @@ from rrcalc import (
     twist_theory,
     universal_morphism,
 )
+from rrcalc import acceptance
 from rrcalc.rings import INTEGERS, RATIONALS
 
 
@@ -442,6 +446,32 @@ def _uncached_twisted_pushforward(theory, f, a):
     return pushforward(carrier, f, genus.inverse() * a)
 
 
+def _outcome(compute):
+    try:
+        return compute()
+    except InsufficientOrder as error:
+        return (type(error), str(error))
+
+
+def test_inverted_series_extends_to_the_inverse_extension_on_seeded_cases():
+    # The twisted pushforward's correction: F_x(E)^(-1) = (1/F)_x(E), with F
+    # cut to the degree the extension reads before it is inverted.  A
+    # series shorter than that degree refuses both routes alike.
+    rng = random.Random(2718)
+    branches = Counter()
+    for _ in range(400):
+        spec = acceptance._random_spec(rng, RATIONALS, symbol="h")
+        e = acceptance._random_bundle(rng, spec)
+        head = Fraction(rng.choice([1, -1, 2, 3]), rng.randint(1, 3))
+        tail = [acceptance._random_fraction(rng) for _ in range(rng.randint(0, 5))]
+        series = TruncatedSeries([head] + tail)
+        cut = series.truncated(min(series.order, spec.total_degree))
+        inverted = _outcome(lambda: multiplicative_extension(series, e).inverse())
+        assert _outcome(lambda: multiplicative_extension(cut.inverse(), e)) == inverted
+        branches[type(inverted)] += 1
+    assert branches[tuple] >= 40 and branches[RingElement] >= 200
+
+
 def test_twisted_corrections_stay_with_their_theory():
     # One Morphism, two twisted theories: each fills its own correction.
     deficit = twist_theory(CHOW_Q, exp_deficit_series(8))
@@ -643,6 +673,19 @@ def test_gk_leading_morphism():
 
     with pytest.raises(FiltrationViolation):
         gk_leading_morphism(k_line_class(3, 1), 1)
+
+
+@pytest.mark.parametrize("dims", [(8,), (2, 3), (1, 2, 2)])
+def test_gk_leading_morphism_sends_each_monomial_to_its_hyperplane_monomial(dims):
+    # The universal property of GK tensor Q on generators: t^e lies in
+    # filtration level |e| and no deeper, and leads there with h^e.
+    k_spec, q_spec = ring_of(K_THEORY, dims), ring_of(CHOW_Q, dims)
+    for e in k_spec.monomials():
+        monomial = k_spec.element({e: 1})
+        led = gk_leading_morphism(monomial, sum(e))
+        assert (led.level, led.representative) == (sum(e), q_spec.element({e: 1}))
+        with pytest.raises(FiltrationViolation):
+            gk_leading_morphism(monomial, sum(e) + 1)
 
 
 # ---------------------------------------------------------------- diagonal classes
