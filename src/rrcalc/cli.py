@@ -53,7 +53,6 @@ from .theories import (
     CHOW,
     K_THEORY,
     SolverInconsistent,
-    diagonal_class,
     k_line_class,
     linear_immersion,
     metric_check,
@@ -77,8 +76,9 @@ MAX_TWIST = 10**6
 # Highest --dim per command, with its time at the bound and one step up, for
 # one process including about 0.1 s of interpreter start and imports:
 # chi pn 0.27-0.39 s (100: 0.64-0.80 s); verify grr 0.23-0.25 s with
-# --immersion 59 (70: 0.32-0.37 s, 80: 0.41-0.45 s); diagonal 3.5 s (240:
-# 5.2 s); adjunction 0.23-0.29 s (100: 0.45-0.57 s).
+# --immersion 59 (70: 0.32-0.37 s, 80: 0.41-0.45 s); diagonal 0.6-0.75 s
+# in chow and 1.0-1.1 s in k (240: 0.7 s and 1.3-1.5 s); adjunction
+# 0.23-0.29 s (100: 0.45-0.57 s).
 MAX_CHI_PN_DIM = 80
 MAX_GRR_DIM = 60
 MAX_DIAGONAL_DIM = 200
@@ -276,9 +276,13 @@ def _cmd_verify_twist_law(args) -> Outcome:
 def _cmd_diagonal(args) -> Outcome:
     _check_bound("--dim", args.dim, 0, MAX_DIAGONAL_DIM)
     theory = CHOW if args.theory == "chow" else K_THEORY
-    delta = diagonal_class(theory, args.dim)
     report = metric_check(theory, args.dim)
-    coefficients = {f"({r},{s})": c for (r, s), c in delta.terms.items()}
+    coefficients = {
+        f"({r},{s})": c
+        for r, row in enumerate(report.matrix)
+        for s, c in enumerate(row)
+        if c
+    }
     outputs = {
         "coefficients": coefficients,
         "determinant": report.determinant,

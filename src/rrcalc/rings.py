@@ -18,7 +18,7 @@ abstract Chern symbols c_i have weight i, truncated above an order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -168,11 +168,6 @@ class RingSpec:
         """All surviving exponent vectors, in graded-lexicographic order."""
         everything = itertools.product(*(range(d + 1) for d in self.bounds))
         return sorted(filter(self.fits, everything), key=_render_key)
-
-    def rationalized(self) -> "RingSpec":
-        if self.scalars == RATIONALS:
-            return self
-        return replace(self, scalars=RATIONALS)
 
     @cached_property
     def _packing(

@@ -385,17 +385,6 @@ def gk_leading_morphism(a: RingElement, level: int) -> GKClass:
     return GKClass(level, image.graded_component(level))
 
 
-def _point_weights(theory: TheoryModel, n: int) -> list[Scalar]:
-    """w_r = p_*(x^r) for the theory's point projection from P^n."""
-    spec = ring_of(theory, (n,))
-    p = point_projection(theory, n)
-    weights = []
-    for r in range(n + 1):
-        monomial = spec.element({(r,): 1})
-        weights.append(pushforward(theory, p, monomial).constant_term)
-    return weights
-
-
 def diagonal_class(theory: TheoryModel, n: int) -> RingElement:
     """The class of the diagonal of P^n x P^n, solved level by level.
 
@@ -406,41 +395,34 @@ def diagonal_class(theory: TheoryModel, n: int) -> RingElement:
     fixes the last row, and symmetry is verified afterwards.  Any failure
     raises SolverInconsistent, since the axioms guarantee a solution.
     """
-    table: dict[tuple[int, int], Scalar] = {(0, 0): 1}
+    delta = ring_of(theory, (0, 0)).one()
     for k in range(1, n + 1):
-        prev_spec = ring_of(theory, (k - 1, k - 1))
-        prev = prev_spec.element({rs: v for rs, v in table.items()})
         include = linear_immersion(theory, k - 1, k, within=(k - 1, k - 1), factor=1)
-        pushed = pushforward(theory, include, prev)
-        rows: dict[tuple[int, int], Scalar] = {}
-        for (r, s), c in pushed.terms.items():
-            rows[(r, s)] = c
-        weights = _point_weights(theory, k)
-        pivot = weights[k]
-        for s in range(k + 1):
-            wanted = 1 if s == 0 else 0
-            residue = wanted - sum(
-                weights[r] * rows.get((r, s), 0) for r in range(k)
-            )
-            value = _divide(residue, pivot, theory.scalars)
-            if value != 0:
-                rows[(k, s)] = value
-        for (r, s), c in list(rows.items()):
-            if rows.get((s, r), 0) != c:
+        pushed = pushforward(theory, include, delta)
+        spec = ring_of(theory, (k, k))
+        rows = spec.element(pushed.terms)
+        # Collapsing the first factor must give 1; the rows below k give all
+        # of it but the residue, which row k supplies through p_*(x^k).
+        collapse = factor_projection(theory, (k, k), 0)
+        one = ring_of(theory, (k,)).one()
+        residue = one - pushforward(theory, collapse, rows)
+        pivot = pushforward(theory, collapse, spec.element({(k, 0): 1})).constant_term
+        last = {
+            (k, s): _divide(c, pivot, theory.scalars) for (s,), c in residue.terms.items()
+        }
+        delta = rows + spec.element(last)
+        for (r, s), c in delta.terms.items():
+            if delta.terms.get((s, r), 0) != c:
                 raise SolverInconsistent(
                     f"diagonal table for n={k} is not symmetric at {(r, s)}"
                 )
-        table = rows
         # Re-check the two defining constraints through the actual maps.
-        spec = ring_of(theory, (k, k))
-        delta = spec.element(table)
-        collapse = factor_projection(theory, (k, k), 0)
-        if pushforward(theory, collapse, delta) != ring_of(theory, (k,)).one():
+        if pushforward(theory, collapse, delta) != one:
             raise SolverInconsistent(f"(p_* x 1) normalization fails at n={k}")
         restrict = linear_immersion(theory, k - 1, k, within=(k - 1, k), factor=0)
         if pullback(theory, restrict, delta) != pushed:
             raise SolverInconsistent(f"hyperplane restriction fails at n={k}")
-    return ring_of(theory, (n, n)).element(table)
+    return delta
 
 
 def _divide(value: Scalar, unit: Scalar, scalars: str) -> Scalar:

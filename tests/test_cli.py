@@ -1,11 +1,12 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+import sys
 from itertools import takewhile
 
 import pytest
 
-from rrcalc import cli
+from rrcalc import cli, theories
 from rrcalc.acceptance import CriterionResult
 from rrcalc.applications import GRRMismatch
 from rrcalc.rings import (
@@ -185,6 +186,40 @@ def test_failure_keeps_the_subcommand_and_inputs(capsys):
         "output error = chi of the surface bundle = 1/12 is not an integer\n"
         "pass: no\n"
     )
+
+
+def test_diagonal_solver_failure_keeps_the_subcommand_and_inputs(capsys, monkeypatch):
+    def inconsistent(theory, n):
+        raise theories.SolverInconsistent(f"hyperplane restriction fails at n={n}")
+
+    monkeypatch.setattr(theories, "diagonal_class", inconsistent)
+    code, out, _ = invoke(capsys, "diagonal", "--dim", "2", "--theory", "k")
+    assert code == 1
+    assert out == (
+        "command: diagonal\n"
+        "input dim = 2\n"
+        "input theory = k\n"
+        "output error = hyperplane restriction fails at n=2\n"
+        "pass: no\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [("--dim", "3"), ("--dim", "2", "--theory", "k")])
+def test_diagonal_solves_once_per_command(capsys, monkeypatch, argv):
+    solve = theories.diagonal_class
+    calls = []
+
+    def counted(theory, n):
+        calls.append(n)
+        return solve(theory, n)
+
+    # Every rrcalc module that holds the solver by name gets the counter.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rrcalc" and getattr(module, "diagonal_class", None) is solve:
+            monkeypatch.setattr(module, "diagonal_class", counted)
+    code, _, _ = invoke(capsys, "diagonal", *argv)
+    assert code == 0
+    assert calls == [int(argv[1])]
 
 
 def test_twist_law_below_order_one_is_a_usage_error(capsys):

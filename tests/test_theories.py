@@ -19,6 +19,7 @@ from rrcalc import (
     NonUnitConstant,
     RingElement,
     RingSpec,
+    SolverInconsistent,
     SpecMismatch,
     TheoryModel,
     TruncatedSeries,
@@ -42,7 +43,7 @@ from rrcalc import (
     twist_theory,
     universal_morphism,
 )
-from rrcalc import acceptance
+from rrcalc import acceptance, theories
 from rrcalc.rings import INTEGERS, RATIONALS
 
 
@@ -731,6 +732,94 @@ def test_point_space_diagonal():
     assert diagonal_class(K_THEORY, 0) == ring_of(K_THEORY, (0, 0)).one()
 
 
+def _diagonal_by_point_weights(theory, n):
+    # The earlier solver, kept as an oracle: w_r = p_*(x^r) one monomial at
+    # a time, and row k of level k solved from sum_r w_r * row_r = delta_s0.
+    table = {(0, 0): 1}
+    for k in range(1, n + 1):
+        prev = ring_of(theory, (k - 1, k - 1)).element(table)
+        include = linear_immersion(theory, k - 1, k, within=(k - 1, k - 1), factor=1)
+        rows = dict(pushforward(theory, include, prev).terms)
+        p = point_projection(theory, k)
+        x = ring_of(theory, (k,)).generator(0)
+        weights = [pushforward(theory, p, x**r).constant_term for r in range(k + 1)]
+        for s in range(k + 1):
+            residue = (s == 0) - sum(weights[r] * rows.get((r, s), 0) for r in range(k))
+            value = Fraction(residue) / Fraction(weights[k])
+            if theory.scalars == INTEGERS:
+                assert value.denominator == 1
+                value = value.numerator
+            if value:
+                rows[(k, s)] = value
+        table = rows
+    return table
+
+
+DIAGONAL_THEORIES = {
+    "chow": CHOW,
+    "ktheory": K_THEORY,
+    "chow-q": CHOW_Q,
+    "ktheory-q": TheoryModel(1, RATIONALS),
+    "chow-todd": twist_theory(CHOW_Q, exp_deficit_series(12)),
+    "ktheory-twisted": twist_theory(
+        K_THEORY, TruncatedSeries([Fraction(2, 3), 1, Fraction(-1, 2), 3], 12)
+    ),
+}
+
+
+@pytest.mark.parametrize("theory", DIAGONAL_THEORIES.values(), ids=DIAGONAL_THEORIES)
+def test_diagonal_matches_the_point_weight_solver(theory):
+    for n in range(9):
+        assert dict(diagonal_class(theory, n).terms) == _diagonal_by_point_weights(theory, n)
+
+
+def _tamper(monkeypatch, name, when, change):
+    # theories.<name> with its result passed through `change` where when(f, a).
+    real = getattr(theories, name)
+
+    def tampered(theory, f, a):
+        result = real(theory, f, a)
+        return change(result) if when(f, a) else result
+
+    monkeypatch.setattr(theories, name, tampered)
+
+
+def _doubled(element):
+    return element + element
+
+
+def test_solver_refuses_an_asymmetric_table(monkeypatch):
+    # A doubled p_*(x^2) halves row 2 of level 2 and leaves column 2 alone.
+    def top_power(f, a):
+        return not f.is_immersion and a.terms == {(2, 0): 1}
+
+    _tamper(monkeypatch, "pushforward", top_power, _doubled)
+    with pytest.raises(
+        SolverInconsistent, match=r"^diagonal table for n=2 is not symmetric at \(0, 2\)$"
+    ):
+        diagonal_class(CHOW_Q, 3)
+
+
+def test_solver_refuses_a_table_that_does_not_collapse_to_one(monkeypatch):
+    # Row 2 is solved from p_* of the rows below it and of x^2 alone; only
+    # the finished level-2 table reaches this doubled pushforward.
+    def whole_table(f, a):
+        return not f.is_immersion and (2, 0) in a.terms and len(a.terms) > 1
+
+    _tamper(monkeypatch, "pushforward", whole_table, _doubled)
+    with pytest.raises(SolverInconsistent, match=r"^\(p_\* x 1\) normalization fails at n=2$"):
+        diagonal_class(CHOW, 3)
+
+
+def test_solver_refuses_a_table_with_the_wrong_hyperplane_restriction(monkeypatch):
+    def from_level_two(f, a):
+        return f.target == (2, 2)
+
+    _tamper(monkeypatch, "pullback", from_level_two, _doubled)
+    with pytest.raises(SolverInconsistent, match=r"^hyperplane restriction fails at n=2$"):
+        diagonal_class(K_THEORY, 3)
+
+
 # ---------------------------------------------------------------- closed forms in beta
 # Independent of the level-by-level solver: both models are the law
 # x + y - beta*x*y, and these are its closed forms up to n = 8.
@@ -753,7 +842,7 @@ def test_point_pushforward_is_a_power_of_beta(theory, beta):
 @BY_BETA
 def test_diagonal_matches_the_closed_form(theory, beta):
     # sum_{r+s=n} x^r y^s - beta * sum_{r+s=n+1} x^r y^s
-    for n in range(9):
+    for n in (*range(9), 40, 64):
         expected = {(r, n - r): 1 for r in range(n + 1)}
         if beta:
             expected.update({(r, n + 1 - r): -beta for r in range(1, n + 1)})
