@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from typing import Sequence
 
 from .rings import (
@@ -33,7 +33,9 @@ from .rings import (
     SpecMismatch,
     _convolve,
     _packed,
+    _reduced,
     _unpacked,
+    _weighted_sum,
     eval_series,
 )
 from .series import (
@@ -124,7 +126,7 @@ def newton_e_to_p(elementary: Sequence[RingElement], up_to: int) -> list[RingEle
     e, d = _packed(elementary[: max(up_to, 1)])
     # (-1)^(i-1) d^(i-1) E_i, the right factor of every term with e_i.
     e = [[(k, (-d) ** i * v) for k, v in table] for i, table in enumerate(e)]
-    one = _packed([spec.one()], offset=True)[0][0]
+    (one,), _ = _packed([spec.one()])
     p: list[dict[int, int]] = []
     for n in range(1, up_to + 1):
         sums: dict[int, int] = {}
@@ -154,7 +156,7 @@ def newton_p_to_e(power_sums: Sequence[RingElement], up_to: int) -> list[RingEle
     _one_ring(power_sums, up_to)
     p, d = _packed(power_sums[: max(up_to, 1)])
     p = [[(k, (-1) ** i * v) for k, v in table] for i, table in enumerate(p)]
-    one = _packed([spec.one()], offset=True)[0][0]
+    (one,), _ = _packed([spec.one()])
     e: list[tuple[dict[int, int], int]] = [(dict(one), 1)]
     for n in range(1, up_to + 1):
         terms = [(e[n - i], p[i - 1]) for i in range(1, min(n, len(p)) + 1)]
@@ -163,9 +165,7 @@ def newton_p_to_e(power_sums: Sequence[RingElement], up_to: int) -> list[RingEle
         for (table, denominator), right in terms:
             scale = common // denominator
             _convolve(spec, [(k, scale * v) for k, v in table.items()], right, sums)
-        denominator = n * common * d
-        content = gcd(denominator, *sums.values())
-        e.append(({k: v // content for k, v in sums.items() if v}, denominator // content))
+        e.append(_reduced(sums, n * common * d))
     return [_unpacked(spec, table, denominator) for table, denominator in e[1:]]
 
 
@@ -176,8 +176,8 @@ def additive_extension(series: TruncatedSeries, e: BundleClass) -> RingElement:
     of the coefficients' denominators.
     """
     spec = e.spec
-    tables, d = _packed([spec.scalar(series[0] * e.rank), *e._power_sums], offset=True)
-    summands, common = [(1, tables[0])], 1
+    tables, d = _packed([spec.scalar(series[0] * e.rank), *e._power_sums])
+    summands = [(1, tables[0], d)]
     for n, p_n in enumerate(tables[1:], start=1):
         if not p_n:
             continue
@@ -187,15 +187,8 @@ def additive_extension(series: TruncatedSeries, e: BundleClass) -> RingElement:
             )
         c = spec.coerce(series[n])
         if c:
-            summands.append((c, p_n))
-            common = lcm(common, c.denominator)
-    total: dict[int, int] = {}
-    get = total.get
-    for c, table in summands:
-        scale = c.numerator * (common // c.denominator)
-        for key, v in table:
-            total[key] = get(key, 0) + scale * v
-    return _unpacked(spec, total, common * d)
+            summands.append((c, p_n, d))
+    return _weighted_sum(spec, summands)
 
 
 def multiplicative_extension(series: TruncatedSeries, e: BundleClass) -> RingElement:

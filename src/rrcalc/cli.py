@@ -45,7 +45,6 @@ from .rings import (
     InsufficientOrder,
     NonNilpotentArgument,
     OutOfBounds,
-    RingSpec,
     SpecMismatch,
 )
 from .series import NotReversible, exp_deficit_series, todd_series
@@ -53,6 +52,7 @@ from .theories import (
     CHOW,
     K_THEORY,
     SolverInconsistent,
+    TheoryModel,
     k_line_class,
     linear_immersion,
     metric_check,
@@ -268,8 +268,7 @@ def _cmd_verify_twist_law(args) -> Outcome:
         )
     twisted = twist_theory(CHOW, exp_deficit_series(2 * order + 2))
     law = twisted.group_law(order)
-    spec = RingSpec(("u", "v"), (order, order), RATIONALS)
-    expected = spec.generator(0) + spec.generator(1) - spec.generator(0) * spec.generator(1)
+    expected = TheoryModel(1, RATIONALS).group_law(order)  # K's law u + v - uv
     return {"expected": str(expected), "law": str(law)}, law == expected
 
 

@@ -4,13 +4,11 @@ Chow rings and K-theory rings of products of projective spaces have
 exactly this shape, with one degree-1 generator per factor.  Elements are
 stored sparsely as {exponent vector: coefficient}; multiplication drops
 any monomial whose exponent overflows its bound, which is the whole
-content of the quotient.  Products run on integers: each exponent vector
-is packed into one int and each operand is scaled to integer numerators
-over one common denominator.  Series evaluation and inversion share that
-kernel, with every power of the argument kept packed, and other modules
-reach it through `_packed`, `_convolve` and `_unpacked` without knowing
-the packing layout.  Scalars are exact integers or exact rationals, fixed
-once per ring.
+content of the quotient.  Products run on integers over packed tables
+(see `_packed`).  Series evaluation and inversion share that kernel, and
+other modules reach it through `_packed`, `_convolve`, `_reduced`,
+`_weighted_sum` and `_unpacked` without knowing the packing.  Scalars are
+exact integers or exact rationals, fixed once per ring.
 Generators may carry weights, and a ring may cap the weighted degree:
 abstract Chern symbols c_i have weight i, truncated above an order.
 """
@@ -23,14 +21,13 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import and_, mul, rshift
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
-from .series import TruncatedSeries
+from .series import Scalar, TruncatedSeries
 
 INTEGERS = "integers"
 RATIONALS = "rationals"
 
-Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
 
 
@@ -167,7 +164,7 @@ class RingSpec:
     def monomials(self) -> Iterable[Exponents]:
         """All surviving exponent vectors, in graded-lexicographic order."""
         everything = itertools.product(*(range(d + 1) for d in self.bounds))
-        return sorted(filter(self.fits, everything), key=_render_key)
+        return _graded(filter(self.fits, everything))
 
     @cached_property
     def _packing(
@@ -204,10 +201,11 @@ class RingSpec:
         return tuple(multipliers), tuple(shifts), tuple(masks), offset, guard
 
 
-def _render_key(exponents: Exponents):
+def _graded(monomials: Iterable[Exponents]) -> list[Exponents]:
     # Graded order first; within a degree, larger leading exponents first,
-    # so that e.g. x1^2 renders before x1*x2 before x2^2.  Weights never enter.
-    return (sum(exponents), tuple(-e for e in exponents))
+    # so that e.g. x1^2 renders before x1*x2 before x2^2.  Weights never
+    # enter.  Two sorts in C: descending tuples, then stably by degree.
+    return sorted(sorted(monomials, reverse=True), key=sum)
 
 
 class RingElement:
@@ -300,7 +298,7 @@ class RingElement:
         if not (self.terms and other.terms):
             # Frequent in Newton's recursions; skips the packing set-up.
             return _raw(self.spec, {})
-        (left,), da = _packed([self], offset=True)
+        (left,), da = _packed([self])
         (right,), db = _packed([other])
         return _unpacked(self.spec, _convolve(self.spec, left, right), da * db)
 
@@ -363,7 +361,7 @@ class RingElement:
         if not self.terms:
             return "0"
         parts = []
-        for exponents in sorted(self.terms, key=_render_key):
+        for exponents in _graded(self.terms):
             coefficient = self.terms[exponents]
             body = "*".join(
                 name if e == 1 else f"{name}^{e}"
@@ -394,26 +392,23 @@ def _raw(spec: RingSpec, terms: dict[Exponents, Scalar]) -> RingElement:
     return element
 
 
-def _packed(
-    elements: Sequence[RingElement], offset: bool = False
-) -> tuple[list[list[tuple[int, int]]], int]:
-    """Elements of one ring as (packed key, integer numerator) pairs over one denominator.
+def _packed(elements: Sequence[RingElement]) -> tuple[list[list[tuple[int, int]]], int]:
+    """Elements of one ring as packed tables over one denominator.
 
     Element i is the sum of n / D * x^e over the pairs (key of e, n) in
     out[i], with D the lcm of every coefficient's denominator (1 over Z).
-    With `offset` the keys carry the packing offset: the left operand of
-    `_convolve`, or a table that `_unpacked` reads.
+    The one packing convention: a key is the exponent vector packed by
+    `RingSpec._packing` plus its offset, in every table that `_convolve`,
+    `_reduced`, `_weighted_sum` and `_unpacked` read or return.
     """
-    multipliers, _, _, shift, _ = elements[0].spec._packing
-    if not offset:
-        shift = 0
+    multipliers, _, _, offset, _ = elements[0].spec._packing
     denominator = 1
     for a in elements:
         for c in a.terms.values():
             denominator = lcm(denominator, c.denominator)
     return [
         [
-            (sum(map(mul, e, multipliers)) + shift, c.numerator * (denominator // c.denominator))
+            (sum(map(mul, e, multipliers)) + offset, c.numerator * (denominator // c.denominator))
             for e, c in a.terms.items()
         ]
         for a in elements
@@ -428,17 +423,17 @@ def _convolve(
 ) -> dict[int, int]:
     """Numerators of a packed product, key -> sum of na * nb; 0 where terms cancel.
 
-    Left keys carry the packing offset and right keys do not, so each sum
-    carries it exactly once: a set guard bit means an exponent beyond its
-    bound or a weight beyond the cap, a monomial that is zero by
-    nilpotency, and the pair is skipped.  The sums keep the offset.  Given
-    `sums`, the products are added into it.
+    Each left key drops the offset, so a sum carries it once and the
+    operands commute; a set guard bit marks an exponent beyond its bound
+    or a weight beyond the cap, zero by nilpotency, and the pair is
+    skipped.  Given `sums`, the products are added into it.
     """
-    guard = spec._packing[4]
+    _, _, _, offset, guard = spec._packing
     if sums is None:
         sums = {}
     get = sums.get
     for ka, na in left:
+        ka -= offset
         for kb, nb in right:
             key = ka + kb
             if not key & guard:
@@ -446,9 +441,31 @@ def _convolve(
     return sums
 
 
+def _reduced(table: Mapping[int, int], denominator: int) -> tuple[dict[int, int], int]:
+    """A packed table over `denominator` divided by their common content, zeros dropped."""
+    content = gcd(denominator, *table.values())
+    return {k: v // content for k, v in table.items() if v}, denominator // content
+
+
+def _weighted_sum(
+    spec: RingSpec, summands: Sequence[tuple[Scalar, Iterable[tuple[int, int]], int]]
+) -> RingElement:
+    """sum c * table / d over the (c, packed table, d) triples, on integers over one lcm."""
+    common = 1
+    for c, _, d in summands:
+        common = lcm(common, c.denominator * d)
+    total: dict[int, int] = {}
+    get = total.get
+    for c, table, d in summands:
+        scale = c.numerator * (common // (c.denominator * d))
+        for key, v in table:
+            total[key] = get(key, 0) + scale * v
+    return _unpacked(spec, total, common)
+
+
 def _unpacked(spec: RingSpec, sums: Mapping[int, int], denominator: int) -> RingElement:
-    # Offset keys and numerators over `denominator` back to a term table:
-    # one Fraction per monomial over Q, the integer itself over Z.
+    # A packed table over `denominator` back to a term table: one Fraction
+    # per monomial over Q, the integer itself over Z.
     _, shifts, masks, offset, _ = spec._packing
     rational = spec.scalars == RATIONALS
     out: dict[Exponents, Scalar] = {}
@@ -484,36 +501,21 @@ def eval_series(series: TruncatedSeries, argument: RingElement) -> RingElement:
             "series can only be evaluated at elements with zero constant term"
         )
     spec = argument.spec
-    offset = spec._packing[3]
     (base,), step = _packed([argument])
-    # Each summand is (c_n, argument^n as offset key -> numerator, its denominator).
-    power, denominator = {offset: 1}, 1
-    summands = [(spec.coerce(series[0]), power, denominator)]
+    power, denominator = {spec._packing[3]: 1}, 1  # argument^0 = 1, packed
+    # Each summand is (c_n, argument^n as a packed table, its denominator).
+    summands = [(spec.coerce(series[0]), power.items(), denominator)]
     n = 1
     while True:
-        power = {k: v for k, v in _convolve(spec, power.items(), base).items() if v}
+        power, denominator = _reduced(_convolve(spec, power.items(), base), denominator * step)
         if not power:
             break
         if n > series.order:
             raise InsufficientOrder(
                 f"series of order {series.order} is too short: argument^{n} != 0"
             )
-        denominator *= step
-        content = gcd(denominator, *power.values())
-        if content > 1:
-            denominator //= content
-            power = {k: v // content for k, v in power.items()}
         coefficient = series[n]
         if coefficient != 0:
-            summands.append((spec.coerce(coefficient), power, denominator))
+            summands.append((spec.coerce(coefficient), power.items(), denominator))
         n += 1
-    common = 1
-    for c, _, d in summands:
-        common = lcm(common, c.denominator * d)
-    total: dict[int, int] = {}
-    get = total.get
-    for c, table, d in summands:
-        scale = c.numerator * (common // (c.denominator * d))
-        for key, v in table.items():
-            total[key] = get(key, 0) + scale * v
-    return _unpacked(spec, total, common)
+    return _weighted_sum(spec, summands)

@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Collection, Iterable, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -42,6 +40,17 @@ def common_denominator(values: Collection[Scalar]) -> tuple[list[int], int]:
     for v in values:
         denominator = lcm(denominator, v.denominator)
     return [v.numerator * (denominator // v.denominator) for v in values], denominator
+
+
+def _truncated_product(left: list[int], right: list[int], n: int) -> list[int]:
+    """Integer coefficient lists convolved and cut after t^n."""
+    out = [0] * (n + 1)
+    for i, a in enumerate(left[: n + 1]):
+        if a:
+            for j, b in enumerate(right[: n + 1 - i], i):
+                if b:
+                    out[j] += a * b
+    return out
 
 
 def _rational(value: Scalar) -> Fraction:
@@ -139,13 +148,7 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         left, da = common_denominator(self.coefficients[: n + 1])
         right, db = common_denominator(other.coefficients[: n + 1])
-        out = [0] * (n + 1)
-        for i, a in enumerate(left):
-            if a:
-                for j, b in enumerate(right[: n + 1 - i], i):
-                    if b:
-                        out[j] += a * b
-        denominator = da * db
+        out, denominator = _truncated_product(left, right, n), da * db
         return TruncatedSeries([Fraction(c, denominator) for c in out])
 
     def __rmul__(self, other):
@@ -176,18 +179,13 @@ class TruncatedSeries:
             )
         n = min(self.order, inner.order)
         # Horner evaluation ((cN*g + cN-1)*g + ...) + c0 at order n, on
-        # integer numerators: result = r / D, g = t * (h / dg), and each
-        # step is reduced by the content of r and D.
-        h, dg = common_denominator(inner.coefficients[1 : n + 1])
+        # integer numerators: result = r / D, g = h / dg with h[0] = 0, and
+        # each step is reduced by the content of r and D.
+        h, dg = common_denominator(inner.coefficients[: n + 1])
         c = self.coefficients[n]
         r, denominator = [c.numerator] + [0] * n, c.denominator
         for k in range(n - 1, -1, -1):
-            out = [0] * (n + 1)
-            for i, a in enumerate(r[:n]):
-                if a:
-                    for j, b in enumerate(h[: n - i], i + 1):
-                        if b:
-                            out[j] += a * b
+            out = _truncated_product(r, h, n)
             c = self.coefficients[k]
             step = lcm(denominator * dg, c.denominator)
             scale = step // (denominator * dg)

@@ -190,9 +190,10 @@ class Morphism:
     """A supported map f: source -> target, as a shape valid in every theory.
 
     f acts on factor `factor` and is the identity on the others.  A
-    linear immersion keeps the factor count and enlarges the acted
-    factor; a projection drops it.  Nothing here belongs to a theory, so
-    one descriptor serves K(X), CH(X) tensor Q and every twist of them.
+    linear immersion keeps the factor count and does not lower the acted
+    factor; a projection drops it.  Any other shape is refused.  Nothing
+    here belongs to a theory, so one descriptor serves K(X), CH(X) tensor
+    Q and every twist of them.
     """
 
     source: Dims
@@ -202,8 +203,17 @@ class Morphism:
     def __post_init__(self):
         # Tuples of ints, so that a descriptor hashes and keys the
         # per-morphism corrections of a twisted theory.
-        object.__setattr__(self, "source", _dims(self.source))
-        object.__setattr__(self, "target", _dims(self.target))
+        source, target, j = _dims(self.source), _dims(self.target), self.factor
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        if not 0 <= j < len(source):
+            raise ValueError(f"no factor {j} in {source}")
+        rest = source[:j] + source[j + 1 :]
+        if self.is_immersion and target[:j] + target[j + 1 :] == rest:
+            if target[j] < source[j]:
+                raise ValueError("an immersion cannot lower the dimension")
+        elif target != rest:
+            raise ValueError(f"{source} -> {target} neither immerses nor drops factor {j}")
 
     @property
     def is_immersion(self) -> bool:
@@ -218,8 +228,6 @@ def point_projection(theory: TheoryModel, n: int) -> Morphism:
 def factor_projection(theory: TheoryModel, dims, which: int) -> Morphism:
     """Collapse factor `which` of a product; `theory` does not shape the result."""
     dims = _dims(dims)
-    if not 0 <= which < len(dims):
-        raise ValueError(f"no factor {which} in {dims}")
     return Morphism(dims, dims[:which] + dims[which + 1 :], which)
 
 
@@ -233,13 +241,10 @@ def linear_immersion(
     descriptor, which serves every theory.
     """
     source = _dims(within) if within is not None else (m,)
-    if not 0 <= factor < len(source):
-        raise ValueError(f"no factor {factor} in {source}")
+    f = Morphism(source, source[:factor] + (n,) + source[factor + 1 :], factor)
     if source[factor] != m:
         raise ValueError(f"factor {factor} of {source} is not {m}")
-    if m > n:
-        raise ValueError("an immersion cannot lower the dimension")
-    return Morphism(source, source[:factor] + (n,) + source[factor + 1 :], factor)
+    return f
 
 
 def relative_tangent(theory: TheoryModel, f: Morphism) -> BundleClass:
@@ -395,6 +400,7 @@ def diagonal_class(theory: TheoryModel, n: int) -> RingElement:
     fixes the last row, and symmetry is verified afterwards.  Any failure
     raises SolverInconsistent, since the axioms guarantee a solution.
     """
+    (n,) = _dims(n)  # refuses n < 0 like any factor dimension
     delta = ring_of(theory, (0, 0)).one()
     for k in range(1, n + 1):
         include = linear_immersion(theory, k - 1, k, within=(k - 1, k - 1), factor=1)

@@ -1,11 +1,14 @@
 """Quotient-ring behavior: truncation, units, domains, rendering."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from rrcalc import rings
 from rrcalc.rings import (
     INTEGERS,
     RATIONALS,
@@ -16,6 +19,10 @@ from rrcalc.rings import (
     OutOfBounds,
     RingSpec,
     SpecMismatch,
+    _convolve,
+    _packed,
+    _unpacked,
+    _weighted_sum,
     eval_series,
 )
 from rrcalc.series import TruncatedSeries, exponential_series, log_one_plus_series
@@ -179,6 +186,21 @@ def test_rendering_signs_and_fractions():
     assert str(Fraction(1, 2) * x) == "1/2*x"
     assert str(spec.zero()) == "0"
     assert str(-x + x * x) == "-x + x^2"
+
+
+def test_monomials_come_in_graded_order_then_larger_leading_exponents():
+    # The sort key the two C sorts replaced, kept as the oracle.
+    rng = random.Random(31)
+    for _ in range(200):
+        spec = _random_element(rng, RATIONALS, 0).spec
+        everything = itertools.product(*(range(d + 1) for d in spec.bounds))
+        expected = sorted(filter(spec.fits, everything), key=lambda e: (sum(e), [-x for x in e]))
+        assert list(spec.monomials()) == expected
+        bodies = [
+            "*".join(v if x == 1 else f"{v}^{x}" for v, x in zip(spec.variables, e) if x) or "1"
+            for e in expected
+        ]
+        assert str(spec.element(dict.fromkeys(reversed(expected), 1))) == " + ".join(bodies)
 
 
 def test_eval_series_exponential():
@@ -429,3 +451,127 @@ def test_guard_bit_keeps_exactly_the_monomials_within_the_bound(d):
             product = left * spec.element({(0, b, d): 3})
             expected = {(d, a + b, d): 3} if a + b <= d else {}
             assert product.terms == expected, (d, a, b)
+
+
+# ------------------------------------------------- the packed kernel contract
+
+
+def _random_terms(rng: random.Random, spec: RingSpec):
+    """A random element of `spec`, constant term included."""
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        exponents = tuple(rng.randint(0, d) for d in spec.bounds)
+        if spec.fits(exponents):
+            terms[exponents] = _random_scalar(rng, spec.scalars)
+    return spec.element(terms)
+
+
+def _random_scalar(rng: random.Random, scalars: str):
+    value = rng.randint(-5, 5)
+    return value if scalars == INTEGERS else Fraction(value, rng.randint(1, 6))
+
+
+def _naive_product(a, b):
+    """Term table of a * b: every pair of terms, kept when its monomial fits."""
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            exponents = tuple(x + y for x, y in zip(ea, eb))
+            if a.spec.fits(exponents):
+                out[exponents] = out.get(exponents, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def test_convolve_operands_commute_and_unpack_to_the_naive_product():
+    rng = random.Random(2024)
+    for _ in range(800):
+        scalars = rng.choice((INTEGERS, RATIONALS))
+        a = _random_element(rng, scalars, rng.randint(-3, 3))
+        b = _random_terms(rng, a.spec)
+        (left,), da = _packed([a])
+        (right,), db = _packed([b])
+        sums = _convolve(a.spec, left, right)
+        assert sums == _convolve(a.spec, right, left)
+        product = _unpacked(a.spec, sums, da * db)
+        assert product.terms == _naive_product(a, b)
+        domain = int if scalars == INTEGERS else Fraction
+        assert {type(c) for c in product.terms.values()} <= {domain}
+
+
+def _eval_series_closing_sum(spec, summands):
+    """The closing sum eval_series ran before `_weighted_sum`: dict tables, one lcm."""
+    common = 1
+    for c, _, d in summands:
+        common = math.lcm(common, c.denominator * d)
+    total = {}
+    for c, table, d in summands:
+        scale = c.numerator * (common // (c.denominator * d))
+        for key, v in table.items():
+            total[key] = total.get(key, 0) + scale * v
+    return _unpacked(spec, total, common)
+
+
+def _additive_extension_sum(spec, summands, d):
+    """The closing sum additive_extension ran before `_weighted_sum`: one shared d."""
+    common = 1
+    for c, _ in summands:
+        common = math.lcm(common, c.denominator)
+    total = {}
+    for c, table in summands:
+        scale = c.numerator * (common // c.denominator)
+        for key, v in table:
+            total[key] = total.get(key, 0) + scale * v
+    return _unpacked(spec, total, common * d)
+
+
+def _random_weighted_sum(rng: random.Random):
+    """Elements of one random ring, some negated copies, and coefficients for them.
+
+    The first coefficient is the int 1, as additive_extension passes it; the
+    rest are coerced into the ring's scalars, as both callers pass them.
+    """
+    scalars = rng.choice((INTEGERS, RATIONALS))
+    first = _random_element(rng, scalars, rng.randint(-3, 3))
+    elements = [first]
+    for _ in range(rng.randint(0, 5)):
+        if rng.random() < 0.2:
+            elements.append(-rng.choice(elements))
+        else:
+            elements.append(_random_terms(rng, first.spec))
+    coefficients = [1] + [first.spec.coerce(_random_scalar(rng, scalars)) for _ in elements[1:]]
+    return first.spec, elements, coefficients
+
+
+def test_weighted_sum_matches_the_loops_it_replaced_on_seeded_cases():
+    rng = random.Random(1212)
+    for _ in range(600):
+        spec, elements, coefficients = _random_weighted_sum(rng)
+        expected = spec.zero()
+        for c, a in zip(coefficients, elements):
+            expected = expected + a * c
+        domain = int if spec.scalars == INTEGERS else Fraction
+
+        # eval_series' shape: each table packed alone, over its own denominator.
+        packed = [_packed([a]) for a in elements]
+        summands = [(c, dict(table), d) for c, ((table,), d) in zip(coefficients, packed)]
+        value = _weighted_sum(spec, [(c, t.items(), d) for c, t, d in summands])
+        oracle = _eval_series_closing_sum(spec, summands)
+        assert value.terms == oracle.terms == expected.terms
+        assert {type(c) for c in value.terms.values()} == {type(c) for c in oracle.terms.values()}
+        assert {type(c) for c in value.terms.values()} <= {domain}
+
+        # additive_extension's shape: every table over one shared denominator.
+        tables, d = _packed(elements)
+        value = _weighted_sum(spec, [(c, t, d) for c, t in zip(coefficients, tables)])
+        oracle = _additive_extension_sum(spec, list(zip(coefficients, tables)), d)
+        assert value.terms == oracle.terms == expected.terms
+        assert {type(c) for c in value.terms.values()} == {type(c) for c in oracle.terms.values()}
+
+
+def test_only_rings_knows_the_packing():
+    # Other modules hand packed tables between the kernel steps, never build
+    # or read a key themselves.
+    for path in sorted(Path(rings.__file__).parent.glob("*.py")):
+        if path.name != "rings.py":
+            text = path.read_text()
+            assert "_packing" not in text and "offset" not in text, path.name

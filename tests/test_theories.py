@@ -347,6 +347,48 @@ def test_morphism_factories_validate():
         factor_projection(CHOW, (1, 2), 2)
 
 
+def test_morphism_factories_keep_their_messages():
+    with pytest.raises(ValueError, match=r"^no factor 2 in \(1, 2\)$"):
+        factor_projection(CHOW, (1, 2), 2)
+    with pytest.raises(ValueError, match=r"^no factor 2 in \(1, 2\)$"):
+        linear_immersion(CHOW, 1, 3, within=(1, 2), factor=2)
+    with pytest.raises(ValueError, match=r"^factor 0 of \(2, 2\) is not 1$"):
+        linear_immersion(CHOW, 1, 3, within=(2, 2), factor=0)
+    with pytest.raises(ValueError, match="^an immersion cannot lower the dimension$"):
+        linear_immersion(CHOW, 3, 1)
+
+
+@pytest.mark.parametrize("factor", [-1, 1, 5])
+def test_morphism_refuses_a_factor_outside_the_source(factor):
+    with pytest.raises(ValueError, match=rf"^no factor {factor} in \(1,\)$"):
+        Morphism((1,), (2,), factor)
+
+
+@pytest.mark.parametrize("target", [(2, 3), (2, 1), (1, 1)])
+def test_morphism_refuses_an_immersion_that_changes_another_factor(target):
+    with pytest.raises(ValueError, match="neither immerses nor drops factor 0"):
+        Morphism((1, 2), target, 0)
+
+
+@pytest.mark.parametrize("source, target", [((2,), (1,)), ((1, 3), (1, 2))])
+def test_morphism_refuses_an_immersion_that_lowers_its_factor(source, target):
+    with pytest.raises(ValueError, match="^an immersion cannot lower the dimension$"):
+        Morphism(source, target, len(source) - 1)
+
+
+@pytest.mark.parametrize("target", [(3,), (1,), (), (1, 2, 3)])
+def test_morphism_refuses_a_projection_that_does_not_drop_its_factor(target):
+    with pytest.raises(ValueError, match="neither immerses nor drops factor 0"):
+        Morphism((1, 2), target, 0)
+
+
+def test_morphism_accepts_every_shape_the_factories_build():
+    assert Morphism((1, 2), (2,), 0) == factor_projection(CHOW, (1, 2), 0)
+    assert Morphism((1, 2), (1, 2), 1) == linear_immersion(CHOW, 2, 2, within=(1, 2), factor=1)
+    assert Morphism((1, 2), (1, 5), 1) == linear_immersion(CHOW, 2, 5, within=(1, 2), factor=1)
+    assert Morphism((0,), (), 0) == point_projection(K_THEORY, 0)
+
+
 def test_pushforward_and_pullback_reject_wrong_rings():
     f = linear_immersion(CHOW, 1, 3)
     wrong = ring_of(CHOW, (2,)).one()
@@ -730,6 +772,13 @@ def test_diagonal_restricts_to_the_point_class():
 def test_point_space_diagonal():
     assert diagonal_class(CHOW, 0) == ring_of(CHOW, (0, 0)).one()
     assert diagonal_class(K_THEORY, 0) == ring_of(K_THEORY, (0, 0)).one()
+
+
+@pytest.mark.parametrize("theory", [CHOW, K_THEORY, CHOW_Q, exp_deficit_twist(6)])
+@pytest.mark.parametrize("solve", [diagonal_class, metric_check])
+def test_a_negative_dimension_is_refused(solve, theory):
+    with pytest.raises(ValueError, match="^factor dimensions must be >= 0$"):
+        solve(theory, -1)
 
 
 def _diagonal_by_point_weights(theory, n):
