@@ -32,9 +32,9 @@ from .rings import (
     RingSpec,
     SpecMismatch,
     _convolve,
-    _packed,
+    _element,
     _reduced,
-    _unpacked,
+    _tables,
     _weighted_sum,
     eval_series,
 )
@@ -123,10 +123,10 @@ def newton_e_to_p(elementary: Sequence[RingElement], up_to: int) -> list[RingEle
     if not elementary:
         raise ValueError("need at least e_1 (possibly zero) to fix the ring")
     spec = _one_ring(elementary, up_to)
-    e, d = _packed(elementary[: max(up_to, 1)])
+    e, d = _tables(elementary[: max(up_to, 1)])
     # (-1)^(i-1) d^(i-1) E_i, the right factor of every term with e_i.
     e = [[(k, (-d) ** i * v) for k, v in table] for i, table in enumerate(e)]
-    (one,), _ = _packed([spec.one()])
+    (one,), _ = _tables([spec.one()])
     p: list[dict[int, int]] = []
     for n in range(1, up_to + 1):
         sums: dict[int, int] = {}
@@ -135,7 +135,7 @@ def newton_e_to_p(elementary: Sequence[RingElement], up_to: int) -> list[RingEle
         for i in range(1, min(n, len(e) + 1)):
             _convolve(spec, p[n - i - 1].items(), e[i - 1], sums)
         p.append({k: v for k, v in sums.items() if v})
-    return [_unpacked(spec, table, d**n) for n, table in enumerate(p, start=1)]
+    return [_element(spec, table, d**n) for n, table in enumerate(p, start=1)]
 
 
 def newton_p_to_e(power_sums: Sequence[RingElement], up_to: int) -> list[RingElement]:
@@ -154,9 +154,9 @@ def newton_p_to_e(power_sums: Sequence[RingElement], up_to: int) -> list[RingEle
     if spec.scalars != RATIONALS:
         raise IntegerDomain("recovering e_n from power sums divides by n")
     _one_ring(power_sums, up_to)
-    p, d = _packed(power_sums[: max(up_to, 1)])
+    p, d = _tables(power_sums[: max(up_to, 1)])
     p = [[(k, (-1) ** i * v) for k, v in table] for i, table in enumerate(p)]
-    (one,), _ = _packed([spec.one()])
+    (one,), _ = _tables([spec.one()])
     e: list[tuple[dict[int, int], int]] = [(dict(one), 1)]
     for n in range(1, up_to + 1):
         terms = [(e[n - i], p[i - 1]) for i in range(1, min(n, len(p)) + 1)]
@@ -166,7 +166,7 @@ def newton_p_to_e(power_sums: Sequence[RingElement], up_to: int) -> list[RingEle
             scale = common // denominator
             _convolve(spec, [(k, scale * v) for k, v in table.items()], right, sums)
         e.append(_reduced(sums, n * common * d))
-    return [_unpacked(spec, table, denominator) for table, denominator in e[1:]]
+    return [_element(spec, table, denominator) for table, denominator in e[1:]]
 
 
 def additive_extension(series: TruncatedSeries, e: BundleClass) -> RingElement:
@@ -176,7 +176,7 @@ def additive_extension(series: TruncatedSeries, e: BundleClass) -> RingElement:
     of the coefficients' denominators.
     """
     spec = e.spec
-    tables, d = _packed([spec.scalar(series[0] * e.rank), *e._power_sums])
+    tables, d = _tables([spec.scalar(series[0] * e.rank), *e._power_sums])
     summands = [(1, tables[0], d)]
     for n, p_n in enumerate(tables[1:], start=1):
         if not p_n:

@@ -76,9 +76,9 @@ MAX_TWIST = 10**6
 # Highest --dim per command, with its time at the bound and one step up, for
 # one process including about 0.1 s of interpreter start and imports:
 # chi pn 0.27-0.39 s (100: 0.64-0.80 s); verify grr 0.23-0.25 s with
-# --immersion 59 (70: 0.32-0.37 s, 80: 0.41-0.45 s); diagonal 0.6-0.75 s
-# in chow and 1.0-1.1 s in k (240: 0.7 s and 1.3-1.5 s); adjunction
-# 0.23-0.29 s (100: 0.45-0.57 s).
+# --immersion 59 (70: 0.32-0.37 s, 80: 0.41-0.45 s); diagonal 0.42-0.58 s
+# in chow and 0.5-0.67 s in k (240: 0.64-0.68 s and 0.67-0.71 s);
+# adjunction 0.23-0.29 s (100: 0.45-0.57 s).
 MAX_CHI_PN_DIM = 80
 MAX_GRR_DIM = 60
 MAX_DIAGONAL_DIM = 200

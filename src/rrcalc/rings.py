@@ -1,16 +1,23 @@
 """Polynomial rings with nilpotent generators: A[x1..xk]/(x_i^(d_i+1)).
 
 Chow rings and K-theory rings of products of projective spaces have
-exactly this shape, with one degree-1 generator per factor.  Elements are
-stored sparsely as {exponent vector: coefficient}; multiplication drops
-any monomial whose exponent overflows its bound, which is the whole
-content of the quotient.  Products run on integers over packed tables
-(see `_packed`).  Series evaluation and inversion share that kernel, and
-other modules reach it through `_packed`, `_convolve`, `_reduced`,
-`_weighted_sum` and `_unpacked` without knowing the packing.  Scalars are
-exact integers or exact rationals, fixed once per ring.
-Generators may carry weights, and a ring may cap the weighted degree:
-abstract Chern symbols c_i have weight i, truncated above an order.
+exactly this shape, with one degree-1 generator per factor; multiplication
+drops any monomial whose exponent overflows its bound, which is the whole
+content of the quotient.  Scalars are exact integers or exact rationals,
+fixed once per ring.  Generators may carry weights, and a ring may cap
+the weighted degree: abstract Chern symbols c_i have weight i, truncated
+above an order.
+
+An element stores one packed table, monomial key -> nonzero integer
+numerator (see `RingSpec._packing`), over one positive denominator, in
+the unique reduced form: the denominator is the lcm of the reduced
+coefficient denominators, so 1 over Z.  Arithmetic, series evaluation,
+equality and hashing work on these tables; the exponent-vector table
+`RingElement.terms` is decoded only when read.  `RingSpec.element`
+(`RingElement(spec, terms)`) validates outside input; every element the
+library builds goes through the trusted `_element`.  Other modules reach
+the kernel through `_tables`, `_convolve`, `_reduced`, `_weighted_sum`,
+`_element` and `_substituted` without knowing the packing.
 """
 
 from __future__ import annotations
@@ -20,10 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import and_, mul, rshift
+from operator import mul
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .series import Scalar, TruncatedSeries
+from .series import Scalar, TruncatedSeries, common_denominator
 
 INTEGERS = "integers"
 RATIONALS = "rationals"
@@ -139,24 +147,26 @@ class RingSpec:
         return exponents
 
     def element(self, terms: Mapping[Exponents, Scalar]) -> "RingElement":
-        """Build an element from an exponent-vector -> coefficient table."""
+        """Build an element from an exponent-vector -> coefficient table, validated."""
         return RingElement(self, terms)
 
     def zero(self) -> "RingElement":
-        return RingElement(self, {})
+        return _element(self, {})
 
     def one(self) -> "RingElement":
         return self.scalar(1)
 
     def scalar(self, value: Scalar) -> "RingElement":
-        return RingElement(self, {(0,) * len(self.variables): value})
+        value = self.coerce(value)
+        return _element(self, {self._packing[3]: value.numerator}, value.denominator)
 
     def generator(self, index: int) -> "RingElement":
         """The index-th variable as an element; zero when it cannot survive."""
         if not 0 <= index < len(self.variables):
             raise IndexError(f"no variable {index} in {self}")
         exps = tuple(int(i == index) for i in range(len(self.variables)))
-        return RingElement(self, {exps: 1} if self.fits(exps) else {})
+        multipliers, _, _, offset, _ = self._packing
+        return _element(self, {multipliers[index] + offset: 1} if self.fits(exps) else {})
 
     def generators(self) -> list["RingElement"]:
         return [self.generator(i) for i in range(len(self.variables))]
@@ -209,22 +219,33 @@ def _graded(monomials: Iterable[Exponents]) -> list[Exponents]:
 
 
 class RingElement:
-    """A sparse polynomial in a :class:`RingSpec`, immutable by convention."""
+    """A sparse polynomial in a :class:`RingSpec`, immutable.
 
-    __slots__ = ("spec", "terms")
+    Stored as a packed table (key -> nonzero integer numerator) over one
+    positive denominator, in the reduced form the module docstring gives,
+    so that equal elements have equal tables.
+    """
+
+    __slots__ = ("spec", "_table", "_denominator")
 
     spec: RingSpec
-    terms: dict[Exponents, Scalar]
+    _table: dict[int, int]
+    _denominator: int
 
     def __init__(self, spec: RingSpec, terms: Mapping[Exponents, Scalar]):
-        table: dict[Exponents, Scalar] = {}
+        """Validate outside input: vectors within the bounds, scalars of the domain."""
+        multipliers, _, _, offset, _ = spec._packing
+        coefficients: dict[int, Scalar] = {}
         for exponents, coefficient in terms.items():
-            exponents = spec.check_exponents(exponents)
+            key = sum(map(mul, spec.check_exponents(exponents), multipliers)) + offset
             coefficient = spec.coerce(coefficient)
             if coefficient != 0:
-                table[exponents] = coefficient
+                coefficients[key] = coefficient
+        # Reduced coefficients over the lcm of their denominators have content 1.
+        numerators, denominator = common_denominator(coefficients.values())
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "terms", table)
+        object.__setattr__(self, "_table", dict(zip(coefficients, numerators)))
+        object.__setattr__(self, "_denominator", denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("RingElement is immutable")
@@ -234,25 +255,41 @@ class RingElement:
             raise SpecMismatch(f"cannot mix {self.spec} with {other.spec}")
 
     @property
+    def terms(self) -> Mapping[Exponents, Scalar]:
+        """Exponent vector -> coefficient, decoded from the stored table on each read."""
+        vectors, numerators = _exponents(self.spec, self._table), self._table.values()
+        if self.spec.scalars == RATIONALS:
+            d = self._denominator
+            return MappingProxyType({e: Fraction(n, d) for e, n in zip(vectors, numerators)})
+        return MappingProxyType(dict(zip(vectors, numerators)))
+
+    @property
     def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * len(self.spec.variables), 0)
+        return _scalar(self, self._table.get(self.spec._packing[3], 0))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._table
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             # Compare without coercing: 1/2 is simply unequal to an integer class.
-            constant = (0,) * len(self.spec.variables)
-            return self.terms == ({constant: other} if other else {})
+            if not other:
+                return not self._table
+            return self._denominator == other.denominator and self._table == {
+                self.spec._packing[3]: other.numerator
+            }
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
+        return (
+            (self.spec is other.spec or self.spec == other.spec)
+            and self._denominator == other._denominator
+            and self._table == other._table
+        )
 
     def __hash__(self):
-        if self == self.constant_term:  # equal to a scalar, so hash like it
+        if self._table.keys() <= {self.spec._packing[3]}:  # a scalar, so hash like it
             return hash(self.constant_term)
-        return hash((self.spec, frozenset(self.terms.items())))
+        return hash((self.spec, self._denominator, frozenset(self._table.items())))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -260,19 +297,19 @@ class RingElement:
         if not isinstance(other, RingElement):
             return NotImplemented
         self._require_same_spec(other)
-        out = dict(self.terms)
-        for exponents, coefficient in other.terms.items():
-            acc = out.get(exponents, 0) + coefficient
-            if acc == 0:
-                out.pop(exponents, None)
-            else:
-                out[exponents] = acc
-        return _raw(self.spec, out)
+        common = lcm(self._denominator, other._denominator)
+        scale = common // self._denominator
+        out = dict(self._table) if scale == 1 else {k: v * scale for k, v in self._table.items()}
+        scale = common // other._denominator
+        get = out.get
+        for key, v in other._table.items():
+            out[key] = get(key, 0) + v * scale
+        return _element(self.spec, out, common)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw(self.spec, {e: -c for e, c in self.terms.items()})
+        return _element(self.spec, {k: -v for k, v in self._table.items()}, self._denominator)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -289,18 +326,16 @@ class RingElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = self.spec.coerce(other)
-            if c == 0:
-                return self.spec.zero()
-            return _raw(self.spec, {e: k * c for e, k in self.terms.items()})
+            table = {k: v * c.numerator for k, v in self._table.items()} if c else {}
+            return _element(self.spec, table, self._denominator * c.denominator)
         if not isinstance(other, RingElement):
             return NotImplemented
         self._require_same_spec(other)
-        if not (self.terms and other.terms):
-            # Frequent in Newton's recursions; skips the packing set-up.
-            return _raw(self.spec, {})
-        (left,), da = _packed([self])
-        (right,), db = _packed([other])
-        return _unpacked(self.spec, _convolve(self.spec, left, right), da * db)
+        if not (self._table and other._table):
+            # Frequent in Newton's recursions; skips the convolution set-up.
+            return self.spec.zero()
+        sums = _convolve(self.spec, self._table.items(), list(other._table.items()))
+        return _element(self.spec, sums, self._denominator * other._denominator)
 
     __rmul__ = __mul__
 
@@ -341,28 +376,31 @@ class RingElement:
 
     def graded_component(self, degree: int) -> "RingElement":
         """Sum of the terms of weighted degree `degree`."""
-        weight = self.spec.weight
-        return _raw(self.spec, {e: c for e, c in self.terms.items() if weight(e) == degree})
+        weight, vectors = self.spec.weight, _exponents(self.spec, self._table)
+        table = {k: v for (k, v), e in zip(self._table.items(), vectors) if weight(e) == degree}
+        return _element(self.spec, table, self._denominator)
 
     def graded_components(self) -> list["RingElement"]:
         """Every graded piece, degrees 0..total_degree, in one pass."""
         weight = self.spec.weight
-        pieces = [{} for _ in range(self.spec.total_degree + 1)]
-        for e, c in self.terms.items():
-            pieces[weight(e)][e] = c
-        return [_raw(self.spec, piece) for piece in pieces]
+        pieces: list[dict[int, int]] = [{} for _ in range(self.spec.total_degree + 1)]
+        for (k, v), e in zip(self._table.items(), _exponents(self.spec, self._table)):
+            pieces[weight(e)][k] = v
+        return [_element(self.spec, piece, self._denominator) for piece in pieces]
 
     def coefficient_of(self, exponents: Exponents) -> Scalar:
         """The coefficient of one monomial; 0 if absent."""
-        exponents = self.spec.check_exponents(exponents)
-        return self.terms.get(exponents, 0)
+        multipliers, _, _, offset, _ = self.spec._packing
+        key = sum(map(mul, self.spec.check_exponents(exponents), multipliers)) + offset
+        return _scalar(self, self._table.get(key, 0))
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for exponents in _graded(self.terms):
-            coefficient = self.terms[exponents]
+        for exponents in _graded(terms):
+            coefficient = terms[exponents]
             body = "*".join(
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(self.spec.variables, exponents)
@@ -384,35 +422,90 @@ class RingElement:
         return f"<{self} in {self.spec}>"
 
 
-def _raw(spec: RingSpec, terms: dict[Exponents, Scalar]) -> RingElement:
-    # Internal constructor for tables that are already normalized.
+def _element(spec: RingSpec, table: dict[int, int], denominator: int = 1) -> RingElement:
+    """The trusted constructor: a packed table over `denominator`, stored reduced.
+
+    The table is taken over, not copied.  Nothing is checked: every key
+    must come from `spec`'s packing, and over Z the reduced denominator
+    must be 1.
+    """
+    table, denominator = _reduced(table, denominator)
     element = object.__new__(RingElement)
     object.__setattr__(element, "spec", spec)
-    object.__setattr__(element, "terms", terms)
+    object.__setattr__(element, "_table", table)
+    object.__setattr__(element, "_denominator", denominator)
     return element
 
 
-def _packed(elements: Sequence[RingElement]) -> tuple[list[list[tuple[int, int]]], int]:
-    """Elements of one ring as packed tables over one denominator.
+def _scalar(element: RingElement, numerator: int) -> Scalar:
+    # One stored numerator as a coefficient of the element's domain.
+    if element.spec.scalars == RATIONALS and numerator:
+        return Fraction(numerator, element._denominator)
+    return numerator
+
+
+def _exponents(spec: RingSpec, keys: Iterable[int]) -> list[Exponents]:
+    # Exponent vectors of packed keys (the inverse of the key sum in
+    # `RingElement.__init__`), read one slot at a time for all keys; the
+    # weight slot of a capped ring lies above every slot read.
+    _, shifts, masks, offset, _ = spec._packing
+    keys = [key - offset for key in keys]
+    if not shifts:
+        return [()] * len(keys)
+    return list(zip(*[[(key >> s) & m for key in keys] for s, m in zip(shifts, masks)]))
+
+
+def _substituted(
+    a: RingElement,
+    spec: RingSpec,
+    j: int,
+    images: Sequence[Sequence[tuple[int, int]]],
+    scale: int = 1,
+) -> RingElement:
+    """Trusted: `a` with each x_j^e replaced by sum w * x_j^f over (f, w) in images[e].
+
+    The result lies in `spec`, over a's denominator times `scale`.  `spec`
+    keeps every other variable of a.spec with its bound, and neither ring
+    has a cap.  Variable j may change its bound, or be missing on one side:
+    a ring without it reads e = 0, a target without it needs f = 0.  The
+    bits below and above variable j's slot move as two blocks, so no key
+    is decoded.
+    """
+    _, shifts, masks, offset, _ = a.spec._packing
+    _, target_shifts, target_masks, target_offset, _ = spec._packing
+    has, target_has = len(shifts) >= len(target_shifts), len(target_shifts) >= len(shifts)
+    start = (shifts if has else target_shifts)[j]  # slots below j agree
+    mask = masks[j] if has else 0
+    end = start + (mask.bit_length() + 1 if has else 0)
+    target_end = start + (target_masks[j].bit_length() + 1 if target_has else 0)
+    below = (1 << start) - 1
+    out: dict[int, int] = {}
+    get = out.get
+    for key, n in a._table.items():
+        key -= offset
+        rest = (key & below) + (key >> end << target_end) + target_offset
+        for f, w in images[key >> start & mask]:
+            k = rest + (f << start)
+            out[k] = get(k, 0) + n * w
+    return _element(spec, out, a._denominator * scale)
+
+
+def _tables(elements: Sequence[RingElement]) -> tuple[list[list[tuple[int, int]]], int]:
+    """The stored tables of elements of one ring, over their common denominator D.
 
     Element i is the sum of n / D * x^e over the pairs (key of e, n) in
-    out[i], with D the lcm of every coefficient's denominator (1 over Z).
-    The one packing convention: a key is the exponent vector packed by
-    `RingSpec._packing` plus its offset, in every table that `_convolve`,
-    `_reduced`, `_weighted_sum` and `_unpacked` read or return.
+    out[i].  The one packing convention: a key is the exponent vector
+    packed by `RingSpec._packing` plus its offset, in every table that
+    `_convolve`, `_reduced`, `_weighted_sum` and `_element` read or return.
     """
-    multipliers, _, _, offset, _ = elements[0].spec._packing
-    denominator = 1
+    common = 1
     for a in elements:
-        for c in a.terms.values():
-            denominator = lcm(denominator, c.denominator)
-    return [
-        [
-            (sum(map(mul, e, multipliers)) + offset, c.numerator * (denominator // c.denominator))
-            for e, c in a.terms.items()
-        ]
-        for a in elements
-    ], denominator
+        common = lcm(common, a._denominator)
+    out = []
+    for a in elements:
+        scale = common // a._denominator
+        out.append([(k, v * scale) for k, v in a._table.items()])
+    return out, common
 
 
 def _convolve(
@@ -441,9 +534,14 @@ def _convolve(
     return sums
 
 
-def _reduced(table: Mapping[int, int], denominator: int) -> tuple[dict[int, int], int]:
-    """A packed table over `denominator` divided by their common content, zeros dropped."""
+def _reduced(table: dict[int, int], denominator: int) -> tuple[dict[int, int], int]:
+    """A packed table over `denominator` divided by their common content, zeros dropped.
+
+    A table already in that form is returned as it is.
+    """
     content = gcd(denominator, *table.values())
+    if content == 1 and all(table.values()):
+        return table, denominator
     return {k: v // content for k, v in table.items() if v}, denominator // content
 
 
@@ -460,29 +558,7 @@ def _weighted_sum(
         scale = c.numerator * (common // (c.denominator * d))
         for key, v in table:
             total[key] = get(key, 0) + scale * v
-    return _unpacked(spec, total, common)
-
-
-def _unpacked(spec: RingSpec, sums: Mapping[int, int], denominator: int) -> RingElement:
-    # A packed table over `denominator` back to a term table: one Fraction
-    # per monomial over Q, the integer itself over Z.
-    _, shifts, masks, offset, _ = spec._packing
-    rational = spec.scalars == RATIONALS
-    out: dict[Exponents, Scalar] = {}
-    for key, n in sums.items():
-        if n:
-            key -= offset
-            exponents = tuple(map(and_, map(rshift, itertools.repeat(key), shifts), masks))
-            out[exponents] = Fraction(n, denominator) if rational else n
-    return _raw(spec, out)
-
-
-def _from_numerators(
-    spec: RingSpec, table: Mapping[Exponents, int], denominator: int
-) -> RingElement:
-    # Exponent vectors with integer numerators over `denominator` to an
-    # element of a ring over Q: one Fraction per nonzero monomial.
-    return _raw(spec, {e: Fraction(n, denominator) for e, n in table.items() if n})
+    return _element(spec, total, common)
 
 
 def eval_series(series: TruncatedSeries, argument: RingElement) -> RingElement:
@@ -492,17 +568,18 @@ def eval_series(series: TruncatedSeries, argument: RingElement) -> RingElement:
     argument is still nonzero beyond the series' truncation order the
     result would be wrong, so that case raises InsufficientOrder.
 
-    The argument is packed once; each power is a table of integer
-    numerators over its own denominator, reduced by their common content
-    after every step, and the sum is taken over one lcm at the end.
+    Each power is a packed table of integer numerators over its own
+    denominator, reduced by their common content after every step, and
+    the sum is taken over one lcm at the end.
     """
-    if argument.constant_term != 0:
+    spec = argument.spec
+    unit = spec._packing[3]  # the key of the monomial 1
+    if unit in argument._table:
         raise NonNilpotentArgument(
             "series can only be evaluated at elements with zero constant term"
         )
-    spec = argument.spec
-    (base,), step = _packed([argument])
-    power, denominator = {spec._packing[3]: 1}, 1  # argument^0 = 1, packed
+    base, step = list(argument._table.items()), argument._denominator
+    power, denominator = {unit: 1}, 1  # argument^0 = 1
     # Each summand is (c_n, argument^n as a packed table, its denominator).
     summands = [(spec.coerce(series[0]), power.items(), denominator)]
     n = 1

@@ -179,19 +179,20 @@ class TruncatedSeries:
             )
         n = min(self.order, inner.order)
         # Horner evaluation ((cN*g + cN-1)*g + ...) + c0 at order n, on
-        # integer numerators: result = r / D, g = h / dg with h[0] = 0, and
-        # each step is reduced by the content of r and D.
-        h, dg = common_denominator(inner.coefficients[: n + 1])
+        # integer numerators: result = r / D, g = t * h / dg, and each step
+        # is reduced by the content of r and D.  r * t * h is r * h shifted
+        # by one, and its constant term is the next coefficient.
+        h, dg = common_denominator(inner.coefficients[1 : n + 1])
         c = self.coefficients[n]
         r, denominator = [c.numerator] + [0] * n, c.denominator
         for k in range(n - 1, -1, -1):
-            out = _truncated_product(r, h, n)
+            out = _truncated_product(r, h, n - 1)
             c = self.coefficients[k]
             step = lcm(denominator * dg, c.denominator)
             scale = step // (denominator * dg)
             if scale != 1:
                 out = [a * scale for a in out]
-            out[0] = c.numerator * (step // c.denominator)
+            out.insert(0, c.numerator * (step // c.denominator))
             content = gcd(step, *out)
             if content > 1:
                 out = [a // content for a in out]
@@ -204,18 +205,25 @@ class TruncatedSeries:
         Lagrange inversion, [t^k] g = (1/k) * [t^(k-1)] (t/self)^k: one
         series inverse of self/t, then a running product of it that
         yields one coefficient per order.  At order n that is n - 1
-        series products of order n - 1, O(n^3) coefficient operations.
+        products of order n - 1, O(n^3) coefficient operations, on
+        integer numerators: (t/self)^k = power / D, reduced by the content
+        of power and D after each step, with one Fraction per coefficient.
         """
         if self.coefficients[0] != 0:
             raise NotReversible("reversion needs zero constant term")
         if self.order < 1 or self.coefficients[1] == 0:
             raise NotReversible("reversion needs an invertible linear coefficient")
         quotient = TruncatedSeries(self.coefficients[1:]).inverse()  # t/self
-        power = quotient
-        out = [Fraction(0), power.coefficients[0]]
+        q, dq = common_denominator(quotient.coefficients)
+        n = quotient.order
+        power, denominator = q, dq
+        out = [Fraction(0), quotient.coefficients[0]]
         for k in range(2, self.order + 1):
-            power = power * quotient
-            out.append(power.coefficients[k - 1] / k)
+            power, denominator = _truncated_product(power, q, n), denominator * dq
+            content = gcd(denominator, *power)
+            if content > 1:
+                power, denominator = [a // content for a in power], denominator // content
+            out.append(Fraction(power[k - 1], k * denominator))
         return TruncatedSeries(out)
 
 

@@ -31,7 +31,7 @@ from .rings import (
     RingSpec,
     Scalar,
     SpecMismatch,
-    _from_numerators,
+    _substituted,
     eval_series,
 )
 from .series import TruncatedSeries, common_denominator, exp_deficit_series
@@ -48,10 +48,8 @@ class FiltrationViolation(ValueError):
 
 
 def _dims(dims) -> Dims:
-    if isinstance(dims, int):
-        dims = (dims,)
-    dims = tuple(int(d) for d in dims)
-    if any(d < 0 for d in dims):
+    dims = (dims,) if isinstance(dims, int) else tuple(map(int, dims))
+    if dims and min(dims) < 0:
         raise ValueError("factor dimensions must be >= 0")
     return dims
 
@@ -258,18 +256,13 @@ def pullback(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement:
     """f^*: substitution on generators, from the target ring to the source."""
     if a.spec != ring_of(theory, f.target):
         raise SpecMismatch(f"{a.spec} is not the target ring of {f}")
-    source_spec = ring_of(theory, f.source)
-    table: dict[tuple[int, ...], Scalar] = {}
     j = f.factor
     if f.is_immersion:
-        bound = f.source[j]
-        for exps, c in a.terms.items():
-            if exps[j] <= bound:  # higher powers restrict to zero
-                table[exps] = c
+        bound = f.source[j]  # higher powers restrict to zero
+        images = [[(e, 1)] if e <= bound else [] for e in range(f.target[j] + 1)]
     else:
-        for exps, c in a.terms.items():
-            table[exps[:j] + (0,) + exps[j:]] = c
-    return source_spec.element(table)
+        images = [[(0, 1)]]  # the dropped factor comes back with exponent 0
+    return _substituted(a, ring_of(theory, f.source), j, images)
 
 
 def pushforward(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement:
@@ -294,21 +287,14 @@ def pushforward(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement
             correction = theory._corrections[f] = multiplicative_extension(inverse, tangent)
         carrier = TheoryModel(theory.beta, RATIONALS)
         return pushforward(carrier, f, correction * a)
-    target_spec = ring_of(theory, f.target)
-    table: dict[tuple[int, ...], Scalar] = {}
     j = f.factor
-    if f.is_immersion:
-        shift = f.target[j] - f.source[j]
-        for exps, c in a.terms.items():
-            table[exps[:j] + (exps[j] + shift,) + exps[j + 1 :]] = c
-        return target_spec.element(table)
     top = f.source[j]
-    for exps, c in a.terms.items():
-        weight = theory.beta ** (top - exps[j])
-        if weight:
-            rest = exps[:j] + exps[j + 1 :]
-            table[rest] = table.get(rest, 0) + weight * c
-    return target_spec.element(table)
+    if f.is_immersion:
+        images = [[(r + f.target[j] - top, 1)] for r in range(top + 1)]
+    else:
+        weights = (theory.beta ** (top - r) for r in range(top + 1))
+        images = [[(0, w)] if w else [] for w in weights]
+    return _substituted(a, ring_of(theory, f.target), j, images)
 
 
 @lru_cache(maxsize=None)
@@ -332,35 +318,31 @@ def _character_matrix(d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return matrix, denominator
 
 
+@lru_cache(maxsize=None)
+def _character_images(d: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
+    # The nonzero (f, N[r][f]) of each row of `_character_matrix(d)`.
+    matrix, denominator = _character_matrix(d)
+    return tuple(tuple((f, n) for f, n in enumerate(row) if n) for row in matrix), denominator
+
+
 def universal_morphism(a: RingElement) -> RingElement:
     """The ring morphism K(X) -> Chow(X) tensor Q with t_i |-> 1 - e^(-h_i).
 
     Well defined because (1 - e^(-h))^(n+1) = h^(n+1) * unit = 0 in the
     truncated ring; this is the Chern character on line-bundle classes.
     Being a ring morphism fixed on generators, it is linear in each
-    factor's exponent: the coefficient table, as integer numerators over
-    one denominator, goes through the integer matrix of
-    `_character_matrix` one factor at a time, with no ring product.
+    factor's exponent: t_i^r becomes row r of the integer matrix of
+    `_character_matrix` (its nonzero entries, `_character_images`), one
+    factor at a time, with no ring product.
     """
     dims = a.spec.bounds
     if a.spec.variables != _names("t", len(dims)):
         raise SpecMismatch(f"{a.spec} is not a K-theory ring")
-    numerators, denominator = common_denominator(a.terms.values())
-    table = dict(zip(a.terms, numerators))
+    spec = ring_of(CHOW_Q, dims)
+    image = spec.scalar(a.constant_term) if not dims else a  # a point: scalars only
     for i, d in enumerate(dims):
-        matrix, scale = _character_matrix(d)
-        denominator *= scale
-        image: dict[tuple[int, ...], int] = {}
-        get = image.get
-        for exps, c in table.items():
-            row = matrix[exps[i]]
-            head, tail = exps[:i], exps[i + 1 :]
-            for f in range(exps[i], d + 1):
-                if row[f]:
-                    key = head + (f,) + tail
-                    image[key] = get(key, 0) + c * row[f]
-        table = image
-    return _from_numerators(ring_of(CHOW_Q, dims), table, denominator)
+        image = _substituted(image, spec, i, *_character_images(d))
+    return image
 
 
 @dataclass(frozen=True)
@@ -406,19 +388,22 @@ def diagonal_class(theory: TheoryModel, n: int) -> RingElement:
         include = linear_immersion(theory, k - 1, k, within=(k - 1, k - 1), factor=1)
         pushed = pushforward(theory, include, delta)
         spec = ring_of(theory, (k, k))
-        rows = spec.element(pushed.terms)
+        rows = _substituted(pushed, spec, 0, [[(r, 1)] for r in range(k)])  # pushed, in (k, k)
         # Collapsing the first factor must give 1; the rows below k give all
         # of it but the residue, which row k supplies through p_*(x^k).
         collapse = factor_projection(theory, (k, k), 0)
         one = ring_of(theory, (k,)).one()
         residue = one - pushforward(theory, collapse, rows)
-        pivot = pushforward(theory, collapse, spec.element({(k, 0): 1})).constant_term
-        last = {
-            (k, s): _divide(c, pivot, theory.scalars) for (s,), c in residue.terms.items()
-        }
-        delta = rows + spec.element(last)
-        for (r, s), c in delta.terms.items():
-            if delta.terms.get((s, r), 0) != c:
+        top = _substituted(one, spec, 0, [[(k, 1)]])  # x^k
+        pivot = pushforward(theory, collapse, top).constant_term
+        if pivot == 0 or theory.scalars == INTEGERS and pivot not in (1, -1):
+            raise SolverInconsistent("point pushforward of the top power is not a unit")
+        inverse = 1 / Fraction(pivot)  # row k is x^k * residue / pivot
+        last = _substituted(residue, spec, 0, [[(k, inverse.numerator)]], inverse.denominator)
+        delta = rows + last
+        terms = delta.terms
+        for (r, s), c in terms.items():
+            if terms.get((s, r), 0) != c:
                 raise SolverInconsistent(
                     f"diagonal table for n={k} is not symmetric at {(r, s)}"
                 )
@@ -429,19 +414,6 @@ def diagonal_class(theory: TheoryModel, n: int) -> RingElement:
         if pullback(theory, restrict, delta) != pushed:
             raise SolverInconsistent(f"hyperplane restriction fails at n={k}")
     return delta
-
-
-def _divide(value: Scalar, unit: Scalar, scalars: str) -> Scalar:
-    if unit == 0:
-        raise SolverInconsistent("point pushforward of the top power is not a unit")
-    quotient = Fraction(value) / Fraction(unit)
-    if scalars == INTEGERS:
-        if quotient.denominator != 1:
-            raise SolverInconsistent(
-                f"normalization needs {value}/{unit}, not an integer"
-            )
-        return quotient.numerator
-    return quotient
 
 
 @dataclass(frozen=True)
@@ -459,11 +431,8 @@ def metric_check(theory: TheoryModel, n: int) -> MetricReport:
     Over the integers the flag asks for determinant +-1; over the
     rationals, merely nonzero.
     """
-    delta = diagonal_class(theory, n)
-    matrix = tuple(
-        tuple(delta.coefficient_of((r, s)) for s in range(n + 1))
-        for r in range(n + 1)
-    )
+    terms = diagonal_class(theory, n).terms
+    matrix = tuple(tuple(terms.get((r, s), 0) for s in range(n + 1)) for r in range(n + 1))
     determinant = _determinant([list(row) for row in matrix])
     if theory.scalars == INTEGERS:
         determinant = int(determinant)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,8 +21,8 @@ from rrcalc.rings import (
     RingSpec,
     SpecMismatch,
     _convolve,
-    _packed,
-    _unpacked,
+    _element,
+    _tables,
     _weighted_sum,
     eval_series,
 )
@@ -488,11 +489,11 @@ def test_convolve_operands_commute_and_unpack_to_the_naive_product():
         scalars = rng.choice((INTEGERS, RATIONALS))
         a = _random_element(rng, scalars, rng.randint(-3, 3))
         b = _random_terms(rng, a.spec)
-        (left,), da = _packed([a])
-        (right,), db = _packed([b])
+        (left,), da = _tables([a])
+        (right,), db = _tables([b])
         sums = _convolve(a.spec, left, right)
         assert sums == _convolve(a.spec, right, left)
-        product = _unpacked(a.spec, sums, da * db)
+        product = _element(a.spec, sums, da * db)
         assert product.terms == _naive_product(a, b)
         domain = int if scalars == INTEGERS else Fraction
         assert {type(c) for c in product.terms.values()} <= {domain}
@@ -508,7 +509,7 @@ def _eval_series_closing_sum(spec, summands):
         scale = c.numerator * (common // (c.denominator * d))
         for key, v in table.items():
             total[key] = total.get(key, 0) + scale * v
-    return _unpacked(spec, total, common)
+    return _element(spec, total, common)
 
 
 def _additive_extension_sum(spec, summands, d):
@@ -521,7 +522,7 @@ def _additive_extension_sum(spec, summands, d):
         scale = c.numerator * (common // c.denominator)
         for key, v in table:
             total[key] = total.get(key, 0) + scale * v
-    return _unpacked(spec, total, common * d)
+    return _element(spec, total, common * d)
 
 
 def _random_weighted_sum(rng: random.Random):
@@ -552,7 +553,7 @@ def test_weighted_sum_matches_the_loops_it_replaced_on_seeded_cases():
         domain = int if spec.scalars == INTEGERS else Fraction
 
         # eval_series' shape: each table packed alone, over its own denominator.
-        packed = [_packed([a]) for a in elements]
+        packed = [_tables([a]) for a in elements]
         summands = [(c, dict(table), d) for c, ((table,), d) in zip(coefficients, packed)]
         value = _weighted_sum(spec, [(c, t.items(), d) for c, t, d in summands])
         oracle = _eval_series_closing_sum(spec, summands)
@@ -561,7 +562,7 @@ def test_weighted_sum_matches_the_loops_it_replaced_on_seeded_cases():
         assert {type(c) for c in value.terms.values()} <= {domain}
 
         # additive_extension's shape: every table over one shared denominator.
-        tables, d = _packed(elements)
+        tables, d = _tables(elements)
         value = _weighted_sum(spec, [(c, t, d) for c, t in zip(coefficients, tables)])
         oracle = _additive_extension_sum(spec, list(zip(coefficients, tables)), d)
         assert value.terms == oracle.terms == expected.terms
@@ -570,8 +571,11 @@ def test_weighted_sum_matches_the_loops_it_replaced_on_seeded_cases():
 
 def test_only_rings_knows_the_packing():
     # Other modules hand packed tables between the kernel steps, never build
-    # or read a key themselves.
+    # or read a key, an element's stored table or its denominator themselves,
+    # and never make an element but through the functions of rings.
+    refused = ("_packing", "offset", r"\b_table\b", r"\b_denominator\b")
+    refused += (r"object\.__new__\(RingElement\)",)
     for path in sorted(Path(rings.__file__).parent.glob("*.py")):
         if path.name != "rings.py":
             text = path.read_text()
-            assert "_packing" not in text and "offset" not in text, path.name
+            assert [word for word in refused if re.search(word, text)] == [], path.name

@@ -173,6 +173,31 @@ def test_reversion_round_trip():
     assert back.compose(series) == identity
 
 
+def _reversion_by_fractions(series):
+    """The reversion the integer kernel replaced: Lagrange on whole-series products."""
+    quotient = TruncatedSeries(series.coefficients[1:]).inverse()
+    power = quotient
+    out = [Fraction(0), power.coefficients[0]]
+    for k in range(2, series.order + 1):
+        power = power * quotient
+        out.append(power.coefficients[k - 1] / k)
+    return TruncatedSeries(out)
+
+
+def test_reversion_matches_the_fraction_loop_on_seeded_series():
+    rng = random.Random(1977)
+    for _ in range(300):
+        series = _random_series(rng, rng.randint(1, 16), 0)
+        if series[1] == 0:
+            series = series + TruncatedSeries([0, Fraction(rng.randint(1, 9), rng.randint(1, 5))])
+        reverted = series.reversion()
+        assert reverted.coefficients == _reversion_by_fractions(series).coefficients
+        assert {type(c) for c in reverted.coefficients} == {Fraction}
+    for order in (28, 40):  # the twist-law conjugators and beyond
+        conjugator = exp_deficit_series(order).times_t()
+        assert conjugator.reversion() == _reversion_by_fractions(conjugator)
+
+
 def test_reversion_needs_invertible_slope():
     with pytest.raises(NotReversible):
         TruncatedSeries([1, 1]).reversion()
