@@ -92,9 +92,6 @@ MAX_SHEAF_CODIM = 256
 # 0.4-0.6 s, like the smallest degree.
 MAX_NUMBER = 10**6
 
-_TWIST_HELP = f"d of the line bundle O(d), -{MAX_TWIST}..{MAX_TWIST}"
-_NUMBER_HELP = f"-{MAX_NUMBER}..{MAX_NUMBER}"
-
 # Library invariant checks; reaching one from the CLI is a bug (exit 3).
 _INTERNAL_FAULTS = (
     InsufficientOrder,
@@ -187,10 +184,16 @@ def _check_bound(flag: str, value: int, low: int, high: int):
         raise ValueError(f"{flag} must be in {low}..{high}, got {value}")
 
 
-def _check_numbers(args, *flags: str, low: int = -MAX_NUMBER):
-    """Bound plain-number flags by MAX_NUMBER: each `--flag` reads args.flag."""
-    for flag in flags:
-        _check_bound(flag, getattr(args, flag[2:]), low, MAX_NUMBER)
+def _add_bounded(parser, flag: str, low: int, high: int, label: str = "", **options):
+    """Add the integer `flag` with its range low..high, which --help shows.
+
+    The range is recorded on `parser` (its `bounds` default); `run` checks
+    every recorded range, in declaration order, before the handler runs.
+    """
+    span = f"{low}..{high}"
+    text = f"{label}, {span}" if label else span
+    parser.add_argument(flag, type=int, help=text, **options)
+    parser.set_defaults(bounds=parser.get_default("bounds") + ((flag, low, high),))
 
 
 def _symbol_list(text: str) -> str:
@@ -204,7 +207,6 @@ Outcome = tuple[dict, bool | None]
 
 
 def _cmd_todd(args) -> Outcome:
-    _check_bound("--order", args.order, 0, MAX_TODD_ORDER)
     return {"coefficients": list(todd_series(args.order).coefficients)}, None
 
 
@@ -217,40 +219,33 @@ def _cmd_ch(args) -> Outcome:
             raise ValueError(f"{name!r} is not a usable symbol name")
         if name in names[:index]:
             raise ValueError(f"--chern names the symbol {name!r} twice")
+    # The count exists only once the names are split, so `run` cannot check it.
     _check_bound("--chern symbol count", len(names), 1, MAX_CH_SYMBOLS)
-    _check_bound("--order", args.order, 0, MAX_CH_ORDER)
-    _check_numbers(args, "--rank")
     rows = character_rows(args.rank, names, args.order)
     return {"rows": [str(row) for row in rows]}, None
 
 
 def _cmd_chi_pn(args) -> Outcome:
-    _check_bound("--dim", args.dim, 0, MAX_CHI_PN_DIM)
-    _check_bound("--twist", args.twist, -MAX_TWIST, MAX_TWIST)
     return {"chi": euler_characteristic_pn(args.dim, args.twist)}, True
 
 
 def _cmd_chi_curve(args) -> Outcome:
-    _check_numbers(args, "--genus", low=0)
-    _check_numbers(args, "--rank", "--deg")
     chi = chi_curve(AbstractCurve(args.genus), CurveBundle(args.rank, args.deg))
     return {"chi": chi}, True
 
 
 def _cmd_chi_surface(args) -> Outcome:
-    _check_numbers(args, "--k2", "--chitop", "--rank", "--c1k", "--c1sq", "--c2")
     surface = AbstractSurface(args.k2, args.chitop)
     bundle = SurfaceBundle(args.rank, args.c1k, args.c1sq, args.c2)
     return {"chi": chi_surface(surface, bundle)}, True
 
 
 def _cmd_verify_grr(args) -> Outcome:
-    _check_bound("--dim", args.dim, 0, MAX_GRR_DIM)
-    _check_bound("--twist", args.twist, -MAX_TWIST, MAX_TWIST)
     if args.immersion is None:
         f = point_projection(K_THEORY, args.dim)
         source_dim = args.dim
     else:
+        # Its bound is the value of --dim, so it is not a fixed range.
         _check_bound("--immersion", args.immersion, 0, args.dim)
         f = linear_immersion(K_THEORY, args.immersion, args.dim)
         source_dim = args.immersion
@@ -260,6 +255,7 @@ def _cmd_verify_grr(args) -> Outcome:
 
 def _cmd_verify_twist_law(args) -> Outcome:
     order = args.order
+    # Checked here, not as a recorded range: cli_golden.json pins both messages.
     if order < 1:
         raise ValueError("--order must be >= 1 for a group law to check")
     if order > MAX_TWIST_LAW_ORDER:
@@ -273,7 +269,6 @@ def _cmd_verify_twist_law(args) -> Outcome:
 
 
 def _cmd_diagonal(args) -> Outcome:
-    _check_bound("--dim", args.dim, 0, MAX_DIAGONAL_DIM)
     theory = CHOW if args.theory == "chow" else K_THEORY
     report = metric_check(theory, args.dim)
     coefficients = {
@@ -291,8 +286,6 @@ def _cmd_diagonal(args) -> Outcome:
 
 
 def _cmd_adjunction(args) -> Outcome:
-    _check_bound("--dim", args.dim, 2, MAX_ADJUNCTION_DIM)
-    _check_numbers(args, "--deg", low=1)
     degree = canonical_degree_hypersurface(args.dim, args.deg)
     residual = hypersurface_grr_identity(args.dim, args.deg)
     outputs = {
@@ -307,7 +300,6 @@ def _cmd_adjunction(args) -> Outcome:
 
 def _cmd_sheaf_chern(args) -> Outcome:
     d = args.codim
-    _check_bound("--codim", d, 1, MAX_SHEAF_CODIM)
     multiples = structure_sheaf_chern(d)
     expected_top = (-1) ** (d - 1) * factorial(d - 1)
     ok = all(m == 0 for m in multiples[: d - 1]) and multiples[d - 1] == expected_top
@@ -315,8 +307,6 @@ def _cmd_sheaf_chern(args) -> Outcome:
 
 
 def _cmd_zeuthen(args) -> Outcome:
-    _check_numbers(args, "--dk", "--d2")
-    _check_numbers(args, "--lengths", low=0)
     value = zeuthen_segre(FormSingularityData(args.dk, args.d2, args.lengths))
     return {"c2_degree": value}, None
 
@@ -344,53 +334,58 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("table", "json"), default="table", help="output format"
     )
+    common.set_defaults(bounds=())  # each subcommand copies it, then adds its own
     sub = parser.add_subparsers(dest="command", required=True)
 
     todd = sub.add_parser("todd", parents=[common], help="Todd series coefficients")
-    todd.add_argument("--order", type=int, default=4, help=f"order, 0..{MAX_TODD_ORDER}")
+    _add_bounded(todd, "--order", 0, MAX_TODD_ORDER, "order", default=4)
     todd.set_defaults(handler=_cmd_todd)
 
     ch = sub.add_parser(
         "ch", parents=[common], help="Chern character in abstract symbols"
     )
-    ch.add_argument("--rank", type=int, default=0, help=_NUMBER_HELP)
+    _add_bounded(ch, "--rank", -MAX_NUMBER, MAX_NUMBER, default=0)
     ch.add_argument(
         "--chern",
         type=_symbol_list,
         default="c1,c2,c3",
         help=f"comma-separated symbol names, 1..{MAX_CH_SYMBOLS} of them",
     )
-    ch.add_argument("--order", type=int, default=3, help=f"top weight, 0..{MAX_CH_ORDER}")
+    _add_bounded(ch, "--order", 0, MAX_CH_ORDER, "top weight", default=3)
     ch.set_defaults(handler=_cmd_ch)
 
     chi = sub.add_parser("chi", help="Euler characteristics")
     chi_sub = chi.add_subparsers(dest="target", required=True)
     chi_pn = chi_sub.add_parser("pn", parents=[common], help="chi(P^n, O(d)) both ways")
-    chi_pn.add_argument("--dim", type=int, required=True, help=f"n, 0..{MAX_CHI_PN_DIM}")
-    chi_pn.add_argument("--twist", type=int, default=0, help=_TWIST_HELP)
+    _add_bounded(chi_pn, "--dim", 0, MAX_CHI_PN_DIM, "n", required=True)
+    _add_bounded(
+        chi_pn, "--twist", -MAX_TWIST, MAX_TWIST, "d of the line bundle O(d)", default=0
+    )
     chi_pn.set_defaults(handler=_cmd_chi_pn)
     chi_curve_p = chi_sub.add_parser("curve", parents=[common])
-    chi_curve_p.add_argument("--genus", type=int, default=0, help=f"0..{MAX_NUMBER}")
-    chi_curve_p.add_argument("--rank", type=int, default=1, help=_NUMBER_HELP)
-    chi_curve_p.add_argument("--deg", type=int, default=0, help=_NUMBER_HELP)
+    _add_bounded(chi_curve_p, "--genus", 0, MAX_NUMBER, default=0)
+    _add_bounded(chi_curve_p, "--rank", -MAX_NUMBER, MAX_NUMBER, default=1)
+    _add_bounded(chi_curve_p, "--deg", -MAX_NUMBER, MAX_NUMBER, default=0)
     chi_curve_p.set_defaults(handler=_cmd_chi_curve)
     chi_surface_p = chi_sub.add_parser("surface", parents=[common])
-    chi_surface_p.add_argument("--k2", type=int, default=0, help=_NUMBER_HELP)
-    chi_surface_p.add_argument("--chitop", type=int, default=0, help=_NUMBER_HELP)
-    chi_surface_p.add_argument("--rank", type=int, default=1, help=_NUMBER_HELP)
-    chi_surface_p.add_argument("--c1k", type=int, default=0, help=_NUMBER_HELP)
-    chi_surface_p.add_argument("--c1sq", type=int, default=0, help=_NUMBER_HELP)
-    chi_surface_p.add_argument("--c2", type=int, default=0, help=_NUMBER_HELP)
+    _add_bounded(chi_surface_p, "--k2", -MAX_NUMBER, MAX_NUMBER, default=0)
+    _add_bounded(chi_surface_p, "--chitop", -MAX_NUMBER, MAX_NUMBER, default=0)
+    _add_bounded(chi_surface_p, "--rank", -MAX_NUMBER, MAX_NUMBER, default=1)
+    _add_bounded(chi_surface_p, "--c1k", -MAX_NUMBER, MAX_NUMBER, default=0)
+    _add_bounded(chi_surface_p, "--c1sq", -MAX_NUMBER, MAX_NUMBER, default=0)
+    _add_bounded(chi_surface_p, "--c2", -MAX_NUMBER, MAX_NUMBER, default=0)
     chi_surface_p.set_defaults(handler=_cmd_chi_surface)
 
     verify = sub.add_parser("verify", help="direct-image identities")
     verify_sub = verify.add_subparsers(dest="target", required=True)
     grr = verify_sub.add_parser("grr", parents=[common], help="residual report")
-    grr.add_argument("--dim", type=int, required=True, help=f"n, 0..{MAX_GRR_DIM}")
+    _add_bounded(grr, "--dim", 0, MAX_GRR_DIM, "n", required=True)
     grr.add_argument(
         "--immersion", type=int, default=None, metavar="M", help="source P^M, 0..n"
     )
-    grr.add_argument("--twist", type=int, default=0, help=_TWIST_HELP)
+    _add_bounded(
+        grr, "--twist", -MAX_TWIST, MAX_TWIST, "d of the line bundle O(d)", default=0
+    )
     grr.set_defaults(handler=_cmd_verify_grr)
     twist_law = verify_sub.add_parser("twist-law", parents=[common])
     twist_law.add_argument(
@@ -402,31 +397,23 @@ def _build_parser() -> argparse.ArgumentParser:
     twist_law.set_defaults(handler=_cmd_verify_twist_law)
 
     diagonal = sub.add_parser("diagonal", parents=[common], help="diagonal class")
-    diagonal.add_argument(
-        "--dim", type=int, required=True, help=f"n, 0..{MAX_DIAGONAL_DIM}"
-    )
+    _add_bounded(diagonal, "--dim", 0, MAX_DIAGONAL_DIM, "n", required=True)
     diagonal.add_argument("--theory", choices=("chow", "k"), default="chow")
     diagonal.set_defaults(handler=_cmd_diagonal)
 
     adjunction = sub.add_parser("adjunction", parents=[common])
-    adjunction.add_argument(
-        "--dim", type=int, default=2, help=f"ambient n, 2..{MAX_ADJUNCTION_DIM}"
-    )
-    adjunction.add_argument(
-        "--deg", type=int, required=True, help=f"hypersurface degree, 1..{MAX_NUMBER}"
-    )
+    _add_bounded(adjunction, "--dim", 2, MAX_ADJUNCTION_DIM, "ambient n", default=2)
+    _add_bounded(adjunction, "--deg", 1, MAX_NUMBER, "hypersurface degree", required=True)
     adjunction.set_defaults(handler=_cmd_adjunction)
 
     sheaf = sub.add_parser("sheaf-chern", parents=[common])
-    sheaf.add_argument(
-        "--codim", type=int, required=True, help=f"codimension, 1..{MAX_SHEAF_CODIM}"
-    )
+    _add_bounded(sheaf, "--codim", 1, MAX_SHEAF_CODIM, "codimension", required=True)
     sheaf.set_defaults(handler=_cmd_sheaf_chern)
 
     zeuthen = sub.add_parser("zeuthen", parents=[common])
-    zeuthen.add_argument("--dk", type=int, default=0, help=_NUMBER_HELP)
-    zeuthen.add_argument("--d2", type=int, default=0, help=_NUMBER_HELP)
-    zeuthen.add_argument("--lengths", type=int, default=0, help=f"0..{MAX_NUMBER}")
+    _add_bounded(zeuthen, "--dk", -MAX_NUMBER, MAX_NUMBER, default=0)
+    _add_bounded(zeuthen, "--d2", -MAX_NUMBER, MAX_NUMBER, default=0)
+    _add_bounded(zeuthen, "--lengths", 0, MAX_NUMBER, default=0)
     zeuthen.set_defaults(handler=_cmd_zeuthen)
 
     suite = sub.add_parser("suite", parents=[common], help="run all acceptance checks")
@@ -436,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # Parsed attributes that select or format a command rather than feed it.
-_NOT_INPUTS = ("command", "target", "format", "handler")
+_NOT_INPUTS = ("command", "target", "format", "handler", "bounds")
 
 
 def run(argv) -> int:
@@ -452,6 +439,8 @@ def run(argv) -> int:
         if key not in _NOT_INPUTS and value is not None
     }
     try:
+        for flag, low, high in args.bounds:
+            _check_bound(flag, getattr(args, flag[2:]), low, high)
         outputs, passed = args.handler(args)
     except (GRRMismatch, NonIntegerChi, SolverInconsistent) as failure:
         outputs, passed = {"error": str(failure)}, False

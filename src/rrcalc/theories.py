@@ -77,6 +77,8 @@ class TheoryModel:
             raise ValueError(f"beta must be 0 or 1, not {self.beta!r}")
         if self.twist is not None and self.scalars != RATIONALS:
             raise ValueError("twisted theories carry rational scalars")
+        if self.twist is not None and self.twist[0] == 0:
+            raise NonUnitConstant("a twisting series needs an invertible constant term")
 
     def __repr__(self) -> str:
         name = _LABELS[self.beta][0]
@@ -136,8 +138,6 @@ def twist_theory(base: TheoryModel, series: TruncatedSeries) -> TheoryModel:
     Only one twist layer is kept: twisting a twisted theory multiplies
     the stored series, which composes the pushforward corrections.
     """
-    if series[0] == 0:
-        raise NonUnitConstant("a twisting series needs an invertible constant term")
     if base.twist is not None:
         series = base.twist * series
     return TheoryModel(base.beta, RATIONALS, series)
@@ -298,13 +298,13 @@ def pushforward(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement
 
 
 @lru_cache(maxsize=None)
-def _character_matrix(d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(N, D) with N[r][f] / D = [h^f] (1 - e^(-h))^r for 0 <= r, f <= d.
+def _character_images(d: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
+    """(rows, D): row r holds each (f, N) with N / D = [h^f] (1 - e^(-h))^r != 0.
 
     Row r is the image of t^r on P^d: the r-th power of one series
     truncated at order d, so the table costs d series products, once per
-    d, and is kept as integer numerators over one common denominator.
-    N[r][f] = 0 for f < r.
+    d, and is kept as the nonzero integer numerators over one common
+    denominator.  Row r has no entry with f < r.
     """
     image = exp_deficit_series(d).times_t().truncated(d)
     row = TruncatedSeries([1], d)
@@ -314,15 +314,11 @@ def _character_matrix(d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
         rows.append(row.coefficients)
     numerators, denominator = common_denominator([c for row in rows for c in row])
     width = d + 1
-    matrix = tuple(tuple(numerators[r * width : (r + 1) * width]) for r in range(width))
-    return matrix, denominator
-
-
-@lru_cache(maxsize=None)
-def _character_images(d: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
-    # The nonzero (f, N[r][f]) of each row of `_character_matrix(d)`.
-    matrix, denominator = _character_matrix(d)
-    return tuple(tuple((f, n) for f, n in enumerate(row) if n) for row in matrix), denominator
+    images = tuple(
+        tuple((f, n) for f, n in enumerate(numerators[r * width : (r + 1) * width]) if n)
+        for r in range(width)
+    )
+    return images, denominator
 
 
 def universal_morphism(a: RingElement) -> RingElement:
@@ -332,11 +328,11 @@ def universal_morphism(a: RingElement) -> RingElement:
     truncated ring; this is the Chern character on line-bundle classes.
     Being a ring morphism fixed on generators, it is linear in each
     factor's exponent: t_i^r becomes row r of the integer matrix of
-    `_character_matrix` (its nonzero entries, `_character_images`), one
-    factor at a time, with no ring product.
+    `_character_images`, one factor at a time, with no ring product.
+    A weighted or capped ring with the K ring's names is refused.
     """
     dims = a.spec.bounds
-    if a.spec.variables != _names("t", len(dims)):
+    if a.spec != _ring("t", dims, a.spec.scalars):
         raise SpecMismatch(f"{a.spec} is not a K-theory ring")
     spec = ring_of(CHOW_Q, dims)
     image = spec.scalar(a.constant_term) if not dims else a  # a point: scalars only

@@ -1,8 +1,11 @@
 """End-to-end tests for the command-line front end."""
 
+import argparse
 import json
+import re
 import sys
 from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
@@ -419,3 +422,57 @@ def test_main_wraps_run(capsys):
 def test_missing_subcommand_exits_2(capsys):
     code, _, _ = invoke(capsys)
     assert code == 2
+
+
+# ---------------------------------------------------------------- declared ranges
+
+# The bounds a handler checks itself, with the range that README states.
+HANDLER_CHECKS = {
+    ("verify twist-law", "--order"): f"1..{cli.MAX_TWIST_LAW_ORDER}",  # golden messages
+    ("verify grr", "--immersion"): "0..--dim",  # bounded by another flag's value
+    ("ch", "--chern symbol count"): f"1..{cli.MAX_CH_SYMBOLS}",  # counted after parsing
+}
+
+
+def _leaf_parsers(parser, path=()):
+    """(command words, parser) of every subcommand that runs a handler."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not actions:
+        yield " ".join(path), parser
+    for action in actions:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, path + (name,))
+
+
+def _declared_ranges():
+    return {
+        (command, flag): f"{low}..{high}"
+        for command, leaf in _leaf_parsers(cli._build_parser())
+        for flag, low, high in leaf.get_default("bounds")
+    }
+
+
+def test_every_integer_flag_has_a_declared_range():
+    for command, leaf in _leaf_parsers(cli._build_parser()):
+        integer_flags = {a.option_strings[0] for a in leaf._actions if a.type is int}
+        declared = {flag for flag, _, _ in leaf.get_default("bounds")}
+        handled = {flag for name, flag in HANDLER_CHECKS if name == command}
+        assert declared <= integer_flags <= declared | handled, command
+
+
+def _readme_ranges():
+    """(command, flag) -> range of each row of README's bound table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [cell.strip().replace("`", "") for cell in line.strip("|").split("|")]
+        if len(cells) != 4 or not re.fullmatch(r"-?\d+\.\..+", cells[2]):
+            continue
+        for command in cells[0].split(", "):
+            for flag in cells[1].split(", "):
+                rows[command, flag] = cells[2]
+    return rows
+
+
+def test_readme_bound_table_matches_the_declared_ranges():
+    assert _readme_ranges() == {**_declared_ranges(), **HANDLER_CHECKS}

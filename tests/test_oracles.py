@@ -215,14 +215,16 @@ def test_character_matrix_rows_match_stirling_numbers():
     # numbers of the second kind; (-1)^(f + r) is the same sign.
     from sympy.functions.combinatorial.numbers import stirling
 
-    from rrcalc.theories import _character_matrix
+    from rrcalc.theories import _character_images
 
     for d in range(13):
-        matrix, denominator = _character_matrix(d)
-        assert len(matrix) == d + 1
-        for r, row in enumerate(matrix):
-            assert all(isinstance(n, int) for n in row)
-            assert [Fraction(n, denominator) for n in row] == [
+        images, denominator = _character_images(d)
+        assert len(images) == d + 1
+        for r, image in enumerate(images):
+            row = dict(image)
+            assert len(row) == len(image)
+            assert all(isinstance(n, int) and n for n in row.values())
+            assert [Fraction(row.get(f, 0), denominator) for f in range(d + 1)] == [
                 Fraction((-1) ** (f + r) * factorial(r) * int(stirling(f, r)), factorial(f))
                 for f in range(d + 1)
             ]

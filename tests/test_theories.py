@@ -150,8 +150,14 @@ def test_filled_conjugation_cache_keeps_equality_hash_and_repr():
 
 
 def test_twist_requires_unit_constant():
-    with pytest.raises(NonUnitConstant):
+    # Both ways of building a twisted theory refuse it, not its first law.
+    message = "a twisting series needs an invertible constant term"
+    with pytest.raises(NonUnitConstant, match=message):
         twist_theory(CHOW_Q, TruncatedSeries([0, 1], 4))
+    with pytest.raises(NonUnitConstant, match=message):
+        twist_theory(exp_deficit_twist(), TruncatedSeries([0, 1], 4))
+    with pytest.raises(NonUnitConstant, match=message):
+        TheoryModel(0, RATIONALS, TruncatedSeries([0, 1, 2]))
 
 
 def test_retwist_multiplies_the_series():
@@ -686,6 +692,32 @@ def test_universal_morphism_matches_the_fraction_matrix_on_seeded_cases():
 def test_universal_morphism_rejects_non_k_input():
     with pytest.raises(SpecMismatch):
         universal_morphism(ring_of(CHOW, (2,)).one())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RingSpec(("t",), (3,), INTEGERS, (1,), 2),
+        RingSpec(("t",), (3,), RATIONALS, (1,), 3),
+        RingSpec(("t",), (3,), INTEGERS, (2,)),
+        RingSpec(("t1", "t2"), (2, 2), RATIONALS, (1, 1), 3),
+    ],
+    ids=["capped-Z", "capped-at-the-top-Q", "weighted-Z", "capped-product-Q"],
+)
+def test_universal_morphism_rejects_a_ring_that_only_shares_k_names(spec):
+    # The map is defined on the K ring only: a capped ring's weight slot
+    # would stay in the image's packed keys, and weights grade differently.
+    with pytest.raises(SpecMismatch, match="is not a K-theory ring"):
+        universal_morphism(spec.generator(0) ** 2)
+
+
+@pytest.mark.parametrize("scalars", [INTEGERS, RATIONALS])
+def test_universal_morphism_maps_k_rings_built_apart_from_ring_of(scalars):
+    spec = RingSpec(("t",), (3,), scalars)
+    t = spec.generator(0)
+    target = ring_of(CHOW_Q, (3,))
+    assert universal_morphism(t**2) == target.element({(2,): 1, (3,): -1})
+    assert universal_morphism(t) * universal_morphism(t**2) == universal_morphism(t**3)
 
 
 def test_universal_morphism_is_a_ring_map_spot_check():
