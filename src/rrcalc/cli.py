@@ -65,7 +65,7 @@ from .theories import (
 MAX_TWIST_LAW_ORDER = 28
 # Highest `ch --order`: 1.1-2.0 s with as many symbols as the order (34: 2.1-2.8 s).
 MAX_CH_ORDER = 32
-# Highest `todd --order`: about 3 s; 600 takes 5 s and 1000 about 30 s.
+# Highest `todd --order`: 0.5-0.7 s; 600 takes 1.1-1.3 s and 1000 7-11 s.
 MAX_TODD_ORDER = 500
 # Most `ch --chern` symbols.  Symbols past --order get no generator, so 48
 # symbols cost what 32 do at `--order 32` (1.8-1.9 s).

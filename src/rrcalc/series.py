@@ -5,13 +5,21 @@ modulo t^(N+1).  All arithmetic is exact (`fractions.Fraction`), so the
 identities the rest of the calculator relies on hold on the nose: the
 Todd series really is the reciprocal of (1 - e^-t)/t, reversion really
 round-trips, and no coefficient is ever rounded.
+
+The kernels run on integer numerators over one common denominator and
+build one `Fraction` per output coefficient: a product is one integer
+convolution, `_truncated_product`; the inverse keeps its coefficients
+over a running lcm, so each step is one integer dot product (O(n^2) in
+all); reversion projects baby-step/giant-step powers of t/f (Brent & Kung
+1978) with about 2*sqrt(n) products, O(n^2.5).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
-from typing import Collection, Iterable, Union
+from math import factorial, gcd, isqrt, lcm
+from operator import mul
+from typing import Collection, Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -51,6 +59,40 @@ def _truncated_product(left: list[int], right: list[int], n: int) -> list[int]:
                 if b:
                     out[j] += a * b
     return out
+
+
+def _reduced_product(left, right, n: int) -> tuple[list[int], int]:
+    """Two (numerators, denominator) pairs multiplied, cut after t^n, content divided out."""
+    out, denominator = _truncated_product(left[0], right[0], n), left[1] * right[1]
+    content = gcd(denominator, *out)
+    if content > 1:
+        out, denominator = [a // content for a in out], denominator // content
+    return out, denominator
+
+
+def _inverse(coefficients: Sequence[Fraction]) -> tuple[list[Fraction], list[int], int]:
+    """The coefficients of 1/f, and their integer numerators over one denominator E.
+
+    With f = q / D on integer numerators q, and the coefficients so far
+    b_j = N_j / E, the next one is b_k = -(sum_(i>=1) q_i N_(k-i)) / (q_0 E):
+    one integer dot product and one `Fraction`.  E is the lcm of the
+    reduced denominators so far; it grows, and the stored N_j with it,
+    only when b_k's denominator does not divide it.
+    """
+    q, _ = common_denominator(coefficients)
+    first = 1 / coefficients[0]
+    out, numerators, e = [first], [first.numerator], first.denominator
+    n, head, tail = len(q) - 1, q[0], q[:0:-1]  # tail = q_n, ..., q_1
+    for k in range(1, n + 1):
+        c = Fraction(-sum(map(mul, tail[n - k :], numerators)), head * e)
+        d = c.denominator
+        if e % d:
+            grown = lcm(e, d)
+            numerators = [a * (grown // e) for a in numerators]
+            e = grown
+        numerators.append(c.numerator * (e // d))
+        out.append(c)
+    return out, numerators, e
 
 
 def _rational(value: Scalar) -> Fraction:
@@ -157,19 +199,14 @@ class TruncatedSeries:
         return NotImplemented
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse: self * result = 1 up to the order."""
-        c0 = self.coefficients[0]
-        if c0 == 0:
+        """Multiplicative inverse: self * result = 1 up to the order.
+
+        On integer numerators over a running lcm (`_inverse`): O(n^2)
+        integer multiply-adds and one `Fraction` per coefficient.
+        """
+        if self.coefficients[0] == 0:
             raise ZeroConstantTerm("cannot invert a series with zero constant term")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / c0
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self.coefficients[i] * out[k - i]
-            out[k] = -acc / c0
-        return TruncatedSeries(out)
+        return TruncatedSeries(_inverse(self.coefficients)[0])
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(t)), requiring inner to have zero constant term."""
@@ -202,28 +239,33 @@ class TruncatedSeries:
     def reversion(self) -> "TruncatedSeries":
         """Compositional inverse g with self(g(t)) = g(self(t)) = t.
 
-        Lagrange inversion, [t^k] g = (1/k) * [t^(k-1)] (t/self)^k: one
-        series inverse of self/t, then a running product of it that
-        yields one coefficient per order.  At order n that is n - 1
-        products of order n - 1, O(n^3) coefficient operations, on
-        integer numerators: (t/self)^k = power / D, reduced by the content
-        of power and D after each step, with one Fraction per coefficient.
+        Lagrange inversion, [t^k] g = (1/k) * [t^(k-1)] q^k with q = t/self,
+        read from the numerators of `_inverse(self/t)`.  With m = isqrt(n)
+        and k = s*m + r, 0 <= r < m, that coefficient is one dot product
+        of a baby power q^r and a giant power q^(s*m): about m + n/m
+        truncated products at order n, O(n^2.5) in all.  Every power is
+        integer numerators over one denominator, divided by their content,
+        with one Fraction per output coefficient.
         """
         if self.coefficients[0] != 0:
             raise NotReversible("reversion needs zero constant term")
         if self.order < 1 or self.coefficients[1] == 0:
             raise NotReversible("reversion needs an invertible linear coefficient")
-        quotient = TruncatedSeries(self.coefficients[1:]).inverse()  # t/self
-        q, dq = common_denominator(quotient.coefficients)
-        n = quotient.order
-        power, denominator = q, dq
-        out = [Fraction(0), quotient.coefficients[0]]
-        for k in range(2, self.order + 1):
-            power, denominator = _truncated_product(power, q, n), denominator * dq
-            content = gcd(denominator, *power)
-            if content > 1:
-                power, denominator = [a // content for a in power], denominator // content
-            out.append(Fraction(power[k - 1], k * denominator))
+        n = self.order
+        _, q, e = _inverse(self.coefficients[1:])
+        m = isqrt(n)
+        unit = ([1] + [0] * (n - 1), 1)
+        baby = [unit, (q, e)]
+        while len(baby) <= m:  # q^0 .. q^m
+            baby.append(_reduced_product(baby[-1], baby[1], n - 1))
+        giant = unit
+        out = [Fraction(0)]
+        for k in range(1, n + 1):
+            r = k % m
+            if r == 0:  # q^(s*m) with s = k // m
+                giant = _reduced_product(giant, baby[m], n - 1)
+            (b, db), (g, dg) = baby[r], giant
+            out.append(Fraction(sum(map(mul, b[:k], g[k - 1 :: -1])), k * db * dg))
         return TruncatedSeries(out)
 
 

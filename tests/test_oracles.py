@@ -77,8 +77,14 @@ CHERN = sympy.symbols("c1:6")
 
 @functools.lru_cache(maxsize=None)
 def sympy_series(name: str, order: int):
+    if name == "todd":
+        # x/(1 - e^-x) = 1 + x/2 + sum_(n>=1) B_2n x^2n / (2n)!, from sympy's
+        # Bernoulli numbers; the even ones read the same under both B_1 signs.
+        return 1 + x / 2 + sum(
+            sympy.bernoulli(2 * n) * x ** (2 * n) / sympy.factorial(2 * n)
+            for n in range(1, order // 2 + 1)
+        )
     closed = {
-        "todd": x / (1 - sympy.exp(-x)),
         "exp_deficit": (1 - sympy.exp(-x)) / x,
         "log_one_plus": sympy.log(1 + x),
         "exponential": sympy.exp(x),

@@ -69,7 +69,8 @@ def test_geometric_inverse():
 
 
 def test_inverse_requires_a_unit():
-    with pytest.raises(ZeroConstantTerm):
+    message = "^cannot invert a series with zero constant term$"
+    with pytest.raises(ZeroConstantTerm, match=message):
         TruncatedSeries([0, 1]).inverse()
 
 
@@ -83,6 +84,51 @@ def test_inverse_round_trip_random():
         ]
         s = TruncatedSeries(coeffs)
         assert s * s.inverse() == TruncatedSeries([1], order)
+
+
+def _inverse_by_fractions(series):
+    """The inverse the integer kernel replaced: one Fraction multiply-add per step."""
+    c0 = series.coefficients[0]
+    if c0 == 0:
+        raise ZeroConstantTerm("cannot invert a series with zero constant term")
+    n = series.order
+    out = [Fraction(0)] * (n + 1)
+    out[0] = 1 / c0
+    for k in range(1, n + 1):
+        acc = Fraction(0)
+        for i in range(1, k + 1):
+            acc += series.coefficients[i] * out[k - i]
+        out[k] = -acc / c0
+    return TruncatedSeries(out)
+
+
+def _outcome(operation, *args):
+    """Coefficients and their types, or the error's class and message."""
+    try:
+        value = operation(*args)
+    except ValueError as error:
+        return type(error), str(error)
+    return value.coefficients, {type(c) for c in value.coefficients}
+
+
+def test_inverse_matches_the_fraction_loop_on_seeded_series():
+    # Zero interior coefficients come from _random_series; the constants
+    # include non-units, negatives and zero, and every order 0..30 occurs.
+    rng = random.Random(1978)
+    constants = (1, -1, Fraction(3, 7), -2, Fraction(-5, 12), 0)
+    seen = set()
+    for case in range(372):
+        series = _random_series(rng, case % 31, constants[case % len(constants)])
+        outcome = _outcome(TruncatedSeries.inverse, series)
+        assert outcome == _outcome(_inverse_by_fractions, series)
+        seen.add(outcome[0] if outcome[0] is ZeroConstantTerm else frozenset(outcome[1]))
+    assert seen == {ZeroConstantTerm, frozenset({Fraction})}
+
+
+@pytest.mark.parametrize("order", [23, 60, 120])
+def test_inverse_of_the_deficit_matches_the_fraction_loop(order):
+    deficit = exp_deficit_series(order)
+    assert deficit.inverse().coefficients == _inverse_by_fractions(deficit).coefficients
 
 
 def test_compose_hand_oracle():
@@ -112,15 +158,6 @@ def _compose_by_horner(outer, inner):
     return result
 
 
-def _composition(compose, outer, inner):
-    """Coefficients and their types, or the error's class and message."""
-    try:
-        value = compose(outer, inner)
-    except ValueError as error:
-        return type(error), str(error)
-    return value.coefficients, {type(c) for c in value.coefficients}
-
-
 def _random_series(rng: random.Random, order: int, constant=None) -> TruncatedSeries:
     coefficients = [
         rng.choice((0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
@@ -138,8 +175,8 @@ def test_compose_matches_the_horner_loop_on_seeded_cases():
         outer = _random_series(rng, rng.randint(0, 12))
         constant = rng.choice((1, Fraction(-1, 3))) if rng.random() < 0.1 else 0
         inner = _random_series(rng, rng.randint(0, 12), constant)
-        outcome = _composition(TruncatedSeries.compose, outer, inner)
-        assert outcome == _composition(_compose_by_horner, outer, inner)
+        outcome = _outcome(TruncatedSeries.compose, outer, inner)
+        assert outcome == _outcome(_compose_by_horner, outer, inner)
         seen.add(outcome[0] if outcome[0] is NonzeroInnerConstant else frozenset(outcome[1]))
     assert seen == {NonzeroInnerConstant, frozenset({Fraction})}
 
@@ -193,16 +230,36 @@ def test_reversion_matches_the_fraction_loop_on_seeded_series():
         reverted = series.reversion()
         assert reverted.coefficients == _reversion_by_fractions(series).coefficients
         assert {type(c) for c in reverted.coefficients} == {Fraction}
-    for order in (28, 40):  # the twist-law conjugators and beyond
-        conjugator = exp_deficit_series(order).times_t()
+    # The twist-law conjugators and beyond: `verify twist-law --order 28`
+    # reverts the one at depth 58, of order 59.
+    for depth in (28, 40, 58):
+        conjugator = exp_deficit_series(depth).times_t()
         assert conjugator.reversion() == _reversion_by_fractions(conjugator)
 
 
+@pytest.mark.parametrize("order", range(1, 41))
+def test_reversion_matches_the_fraction_loop_at_every_order(order):
+    # isqrt(order) sets the baby/giant split, so each perfect square and
+    # its neighbours change how the powers of t/f are paired.
+    rng = random.Random(2000 + order)
+    for constant in (Fraction(1), Fraction(-3, 7), Fraction(5, 2)):
+        coefficients = list(_random_series(rng, order, 0).coefficients)
+        coefficients[1] = constant
+        series = TruncatedSeries(coefficients)
+        reverted = series.reversion()
+        assert reverted.coefficients == _reversion_by_fractions(series).coefficients
+        assert {type(c) for c in reverted.coefficients} == {Fraction}
+        assert series.compose(reverted) == TruncatedSeries([0, 1], order)
+
+
 def test_reversion_needs_invertible_slope():
-    with pytest.raises(NotReversible):
+    with pytest.raises(NotReversible, match="^reversion needs zero constant term$"):
         TruncatedSeries([1, 1]).reversion()
-    with pytest.raises(NotReversible):
+    message = "^reversion needs an invertible linear coefficient$"
+    with pytest.raises(NotReversible, match=message):
         TruncatedSeries([0, 0, 1]).reversion()
+    with pytest.raises(NotReversible, match=message):
+        TruncatedSeries([0]).reversion()
 
 
 def test_exp_deficit_constants():
