@@ -60,8 +60,8 @@ from .theories import (
     twist_theory,
 )
 
-# Highest `verify twist-law --order`: about 0.4 s on a 2.1 GHz Xeon; 32 takes
-# 0.7 s and 40 1.5 s, roughly order^4.
+# Highest `verify twist-law --order`: about 0.2 s on a 2-vCPU Xeon host, 30 ms of
+# it the law; the law takes 0.3 s at 56 and 3.6 s at 112, roughly order^3.5.
 MAX_TWIST_LAW_ORDER = 28
 # Highest `ch --order`: 1.1-2.0 s with as many symbols as the order (34: 2.1-2.8 s).
 MAX_CH_ORDER = 32

@@ -17,7 +17,8 @@ equality and hashing work on these tables; the exponent-vector table
 (`RingElement(spec, terms)`) validates outside input; every element the
 library builds goes through the trusted `_element`.  Other modules reach
 the kernel through `_tables`, `_convolve`, `_reduced`, `_weighted_sum`,
-`_element` and `_substituted` without knowing the packing.
+`_element`, `_substituted`, `_transposed` and `_eval_bivariate` without
+knowing the packing.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .series import Scalar, TruncatedSeries, common_denominator
 
@@ -209,6 +210,11 @@ class RingSpec:
         else:
             multipliers = [1 << s for s in shifts]
         return tuple(multipliers), tuple(shifts), tuple(masks), offset, guard
+
+    @cached_property
+    def _degrees(self) -> dict[int, int]:
+        """Packed key -> weighted degree, filled by `_weights` as keys are met."""
+        return {}
 
 
 def _graded(monomials: Iterable[Exponents]) -> list[Exponents]:
@@ -455,6 +461,28 @@ def _exponents(spec: RingSpec, keys: Iterable[int]) -> list[Exponents]:
     return list(zip(*[[(key >> s) & m for key in keys] for s, m in zip(shifts, masks)]))
 
 
+def _weights(spec: RingSpec, keys: Iterable[int]) -> list[int]:
+    # Weighted degrees of packed keys, each key decoded once per spec.
+    known = spec._degrees
+    keys = list(keys)
+    missing = [key for key in keys if key not in known]
+    if missing:
+        known.update(zip(missing, map(spec.weight, _exponents(spec, missing))))
+    return [known[key] for key in keys]
+
+
+def _transposed(a: RingElement) -> RingElement:
+    """a with its two variables swapped, on packed keys: none is decoded.
+
+    The ring must have exactly two variables with one bound and no cap,
+    so the two slots have one width and one offset and swap as blocks.
+    """
+    width = a.spec._packing[1][1]
+    low = (1 << width) - 1
+    table = {key >> width | (key & low) << width: v for key, v in a._table.items()}
+    return _element(a.spec, table, a._denominator)
+
+
 def _substituted(
     a: RingElement,
     spec: RingSpec,
@@ -561,6 +589,16 @@ def _weighted_sum(
     return _element(spec, total, common)
 
 
+def _nilpotent_unit(*arguments: RingElement) -> int:
+    # The key of the monomial 1, once no argument has a constant term.
+    unit = arguments[0].spec._packing[3]
+    if any(unit in a._table for a in arguments):
+        raise NonNilpotentArgument(
+            "series can only be evaluated at elements with zero constant term"
+        )
+    return unit
+
+
 def eval_series(series: TruncatedSeries, argument: RingElement) -> RingElement:
     """sum series[n] * argument^n, a finite sum by nilpotency.
 
@@ -573,11 +611,7 @@ def eval_series(series: TruncatedSeries, argument: RingElement) -> RingElement:
     the sum is taken over one lcm at the end.
     """
     spec = argument.spec
-    unit = spec._packing[3]  # the key of the monomial 1
-    if unit in argument._table:
-        raise NonNilpotentArgument(
-            "series can only be evaluated at elements with zero constant term"
-        )
+    unit = _nilpotent_unit(argument)
     base, step = list(argument._table.items()), argument._denominator
     power, denominator = {unit: 1}, 1  # argument^0 = 1
     # Each summand is (c_n, argument^n as a packed table, its denominator).
@@ -596,3 +630,61 @@ def eval_series(series: TruncatedSeries, argument: RingElement) -> RingElement:
             summands.append((spec.coerce(coefficient), power.items(), denominator))
         n += 1
     return _weighted_sum(spec, summands)
+
+
+def _eval_bivariate(
+    coefficients: Callable[[int], Mapping[tuple[int, int], Scalar]],
+    a: RingElement,
+    b: RingElement,
+) -> RingElement:
+    """sum F[i, l] * a^i * b^l, for nilpotent a and b of one ring.
+
+    a^i * b^l has weighted degree >= i*da + l*db, da and db the lowest
+    degrees of a and b, so it is zero above the ring's top degree.  Hence
+    `coefficients(degree)`, F's nonzero entries for i + l <= degree at
+    least, is asked with the largest i + l that can survive, and an entry
+    is read only when it passes this test and b^l != 0.
+
+    Horner in a: R_i = R_(i+1) * a + G_i(b), G_i(b) = sum_l F[i, l] * b^l
+    summed over the packed powers of b.  R_(i+1) ends up times a^(i+1),
+    so its terms above degree top - (i+1)*da are dropped before the
+    product, which keeps the products as short as the powers of a.
+    """
+    spec = a.spec
+    unit = _nilpotent_unit(a, b)
+    top = spec.total_degree
+    da, db = _lowest_degree(a), _lowest_degree(b)
+    entries = [
+        (i, l, c)
+        for (i, l), c in coefficients(top // min(da, db)).items()
+        if i * da + l * db <= top
+    ]
+    powers = [({unit: 1}, 1)]  # b^0 .. b^l while nonzero, up to the largest l kept
+    base, step = list(b._table.items()), b._denominator
+    for _ in range(max((l for _, l, _ in entries), default=0)):
+        last, denominator = powers[-1]
+        power = _reduced(_convolve(spec, last.items(), base), denominator * step)
+        if not power[0]:
+            break
+        powers.append(power)
+    rows: dict[int, list[tuple[int, Scalar]]] = {}  # the entries read: b^l != 0
+    for i, l, c in entries:
+        if l < len(powers):
+            rows.setdefault(i, []).append((l, spec.coerce(c)))
+    factor = list(a._table.items())
+    result = spec.zero()
+    for i in range(max(rows, default=0), -1, -1):
+        summands = [(c, powers[l][0].items(), powers[l][1]) for l, c in rows.get(i, ())]
+        bound = top - (i + 1) * da
+        terms = result._table
+        kept = [item for item, w in zip(terms.items(), _weights(spec, terms)) if w <= bound]
+        if kept:
+            product = _convolve(spec, kept, factor)
+            summands.append((1, product.items(), result._denominator * a._denominator))
+        result = _weighted_sum(spec, summands)
+    return result
+
+
+def _lowest_degree(a: RingElement) -> int:
+    # The least weighted degree of a's monomials; above the top for a = 0.
+    return min(_weights(a.spec, a._table), default=a.spec.total_degree + 1)

@@ -11,8 +11,12 @@ Pullbacks substitute generators, pushforwards are monomial tables along
 linear immersions and projections.  Twisting a theory by an invertible
 series F keeps rings and pullbacks, replaces every pushforward f_* by
 a |-> f_*(F_x(T_f)^(-1) * a), and conjugates the group law by
-e(x) = x*F(x).  The universal morphism t_i |-> 1 - e^(-h_i) identifies
-the multiplicative model with the additive one over the rationals; its
+e(x) = x*F(x).  Every theory keeps its law as a coefficient table
+F[i, l], c1(L tensor L') = sum F[i, l] c1(L)^i c1(L')^l: the constant
+x + y - beta*xy untwisted, and exp_T(log_T u + log_T v) truncated at
+the conjugator's order once twisted, built once per theory from one
+reversion.  The universal morphism t_i |-> 1 - e^(-h_i) identifies the
+multiplicative model with the additive one over the rationals; its
 graded leading term is exposed separately.
 """
 
@@ -21,20 +25,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import factorial, lcm
+from operator import mul
 
 from .bundles import BundleClass, multiplicative_extension, whitney_difference
 from .rings import (
     INTEGERS,
     RATIONALS,
+    InsufficientOrder,
     NonUnitConstant,
     RingElement,
     RingSpec,
     Scalar,
     SpecMismatch,
+    _eval_bivariate,
     _substituted,
-    eval_series,
+    _transposed,
 )
-from .series import TruncatedSeries, common_denominator, exp_deficit_series
+from .series import TruncatedSeries, _reduced_product, common_denominator, exp_deficit_series
 
 Dims = tuple[int, ...]
 
@@ -91,29 +99,66 @@ class TheoryModel:
         return _LABELS[self.beta][1]
 
     def law(self, a: RingElement, b: RingElement) -> RingElement:
-        """The group law on first Chern classes: c1 of a tensor product.
+        """The group law on first Chern classes: F(a, b), c1 of a tensor product.
 
-        Arguments must be nilpotent classes in one ring.  The twisted law
-        is the untwisted one conjugated by e(x) = x*F(x); e and its
-        reversion are computed once per theory, on the first call.  Their
-        order limits how deep a truncation the stored series can serve,
-        and running past that raises InsufficientOrder.
+        Arguments must be nilpotent classes in one ring.  F is the
+        theory's coefficient table F[i, l] (`_law_table`), evaluated by
+        `rings._eval_bivariate`: Horner in a over G_i(b) = sum_l F[i, l] b^l,
+        reading only the entries whose a^i * b^l can be nonzero.  A
+        twisted table is known for i + l <= N, the order of its conjugator
+        e(x) = x * twist(x), and InsufficientOrder names the first
+        a^i * b^l != 0 with i + l > N.  Over the integers every entry read
+        must be an integer (IntegerDomain otherwise).
         """
         if a.spec != b.spec:
             raise SpecMismatch("group law arguments must share a ring")
+
+        def table(degree: int) -> dict[tuple[int, int], Scalar]:
+            # degree: the largest i + l for which a^i * b^l can be nonzero.
+            if self.twist is not None and degree > self.twist.order + 1:
+                degree = self.twist.order + 1
+                _refuse_past(a, b, degree)
+            return self._law_table(degree)
+
+        return _eval_bivariate(table, a, b)
+
+    def _law_table(self, degree: int) -> dict[tuple[int, int], Scalar]:
+        """The nonzero F[i, l] of the theory's law, at least for i + l <= degree.
+
+        Untwisted: x + y - beta*x*y.  Twisted: built by `_law_coefficients`
+        from `_logarithm`, and built again only for a larger degree.
+        """
         if self.twist is None:
-            return a + b - a * b if self.beta else a + b
-        conjugator, inverse = self._conjugation
-        x = eval_series(inverse, a)
-        y = eval_series(inverse, b)
-        return eval_series(conjugator, TheoryModel(self.beta, RATIONALS).law(x, y))
+            return _UNTWISTED_LAWS[self.beta]
+        built = self.__dict__.get("_built_law")
+        if built is None or built[0] < degree:
+            # Kept in the instance __dict__, as cached_property does, so it
+            # stays out of ==, hash and repr.
+            built = self.__dict__["_built_law"] = (
+                degree,
+                _law_coefficients(*self._logarithm, degree),
+            )
+        return built[1]
 
     @cached_property
-    def _conjugation(self) -> tuple[TruncatedSeries, TruncatedSeries]:
+    def _logarithm(self) -> tuple[TruncatedSeries, TruncatedSeries]:
+        """(log_T, exp_T) of the twisted law F(u, v) = exp_T(log_T u + log_T v).
+
+        Both have the conjugator's order N.  The law is e(g(u) +_beta g(v))
+        with e(x) = x * twist(x) and g its reversion, and x +_1 y =
+        x + y - xy has logarithm -log(1 - x) and exponential 1 - e^(-s); so
+        log_T = g at beta 0 and -log(1 - g) at beta 1, exp_T = e or
+        e(1 - e^(-s)).
+        """
         # cached_property writes the instance __dict__ directly, so it works
         # on the frozen dataclass and stays out of ==, hash and repr.
         conjugator = self.twist.times_t()
-        return conjugator, conjugator.reversion()
+        inverse = conjugator.reversion()
+        if not self.beta:
+            return inverse, conjugator
+        n = conjugator.order
+        minus_log = TruncatedSeries([0] + [Fraction(1, k) for k in range(1, n + 1)])
+        return minus_log.compose(inverse), conjugator.compose(exp_deficit_series(n - 1).times_t())
 
     @cached_property
     def _corrections(self) -> dict[Morphism, RingElement]:
@@ -122,9 +167,65 @@ class TheoryModel:
         return {}
 
     def group_law(self, order: int) -> RingElement:
-        """G(u, v) as an element of scalars[u, v]/(u^(order+1), v^(order+1))."""
+        """F(u, v) in scalars[u, v]/(u^(order+1), v^(order+1)): `law` at u and v.
+
+        Its coefficients are the table entries F[i, l] with i, l <= order,
+        so a twisted table must reach degree 2*order.
+        """
         spec = RingSpec(("u", "v"), (order, order), self.scalars)
         return self.law(spec.generator(0), spec.generator(1))
+
+
+# x + y - beta*x*y as a table: exact at every degree, so never too short.
+_UNTWISTED_LAWS = ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1, (1, 1): -1})
+
+
+def _refuse_past(a: RingElement, b: RingElement, order: int) -> None:
+    # InsufficientOrder at the first a^i * b^l != 0 with i + l = order + 1.
+    # When all of those vanish, so does every a^i * b^l with i + l > order.
+    n = order + 1
+    for i in range(n + 1):
+        if not (a**i * b ** (n - i)).is_zero():
+            raise InsufficientOrder(f"series of order {order} is too short: a^{i}*b^{n - i} != 0")
+
+
+def _law_coefficients(
+    logarithm: TruncatedSeries, exponential: TruncatedSeries, n: int
+) -> dict[tuple[int, int], Fraction]:
+    """The nonzero [u^i v^l] exponential(logarithm(u) + logarithm(v)), i + l <= n.
+
+    With divided powers Q_j = logarithm^j / j! and A_k = k! * [s^k]
+    exponential, F[i, l] = sum_(j, m) [u^i] Q_j * A_(j+m) * [v^l] Q_m, a
+    Hankel form on the columns of Q.  The n powers and the two contractions
+    take O(n^3) integer multiply-adds on numerators over one denominator,
+    and one Fraction per nonzero entry.
+    """
+    step = common_denominator(logarithm.coefficients[: n + 1])
+    powers = [([1] + [0] * n, 1)]
+    for _ in range(n):
+        powers.append(_reduced_product(powers[-1], step, n))
+    scales = [d * factorial(j) for j, (_, d) in enumerate(powers)]
+    common = lcm(*scales)
+    # columns[i][j] = [u^i] Q_j * common, nonzero only for j <= i.
+    columns = [
+        [p[i] * (common // s) for (p, _), s in zip(powers[: i + 1], scales)] for i in range(n + 1)
+    ]
+    hankel, denominator = common_denominator(
+        [c * factorial(k) for k, c in enumerate(exponential.coefficients[: n + 1])]
+    )
+    # halves[i][m] = sum_j [u^i] Q_j * A_(j+m), over denominator * common.
+    halves = [
+        [sum(map(mul, hankel[m : m + i + 1], columns[i])) for m in range(n - i + 1)]
+        for i in range(n + 1)
+    ]
+    denominator *= common * common
+    table = {}
+    for i in range(n + 1):
+        for l in range(n - i + 1):
+            total = sum(map(mul, halves[i][: l + 1], columns[l]))
+            if total:
+                table[i, l] = Fraction(total, denominator)
+    return table
 
 
 CHOW = TheoryModel(0, INTEGERS)
@@ -397,12 +498,10 @@ def diagonal_class(theory: TheoryModel, n: int) -> RingElement:
         inverse = 1 / Fraction(pivot)  # row k is x^k * residue / pivot
         last = _substituted(residue, spec, 0, [[(k, inverse.numerator)]], inverse.denominator)
         delta = rows + last
-        terms = delta.terms
-        for (r, s), c in terms.items():
-            if terms.get((s, r), 0) != c:
-                raise SolverInconsistent(
-                    f"diagonal table for n={k} is not symmetric at {(r, s)}"
-                )
+        if _transposed(delta) != delta:  # decoded only to name the first asymmetry
+            terms = delta.terms
+            r, s = next((r, s) for (r, s), c in terms.items() if terms.get((s, r), 0) != c)
+            raise SolverInconsistent(f"diagonal table for n={k} is not symmetric at {(r, s)}")
         # Re-check the two defining constraints through the actual maps.
         if pushforward(theory, collapse, delta) != one:
             raise SolverInconsistent(f"(p_* x 1) normalization fails at n={k}")

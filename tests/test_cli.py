@@ -74,6 +74,15 @@ def test_verify_twist_law_table(capsys):
     assert "output law = u + v - u*v" in out
 
 
+def test_verify_twist_law_at_its_bound(capsys):
+    order = str(cli.MAX_TWIST_LAW_ORDER)
+    code, out, _ = invoke(capsys, "verify", "twist-law", "--order", order)
+    assert code == 0
+    outputs = dict(line.split(" = ", 1) for line in out.splitlines() if " = " in line)
+    assert outputs["output law"] == outputs["output expected"] == "u + v - u*v"
+    assert out.endswith("pass: yes\n")
+
+
 def test_adjunction_table(capsys):
     code, out, _ = invoke(capsys, "adjunction", "--deg", "4")
     assert code == 0

@@ -1,5 +1,6 @@
 """Tests for the theory models: laws, morphisms, twisting, duality."""
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import fields
@@ -15,7 +16,9 @@ from rrcalc import (
     FiltrationViolation,
     GKClass,
     InsufficientOrder,
+    IntegerDomain,
     Morphism,
+    NonNilpotentArgument,
     NonUnitConstant,
     RingElement,
     RingSpec,
@@ -43,7 +46,7 @@ from rrcalc import (
     twist_theory,
     universal_morphism,
 )
-from rrcalc import acceptance, theories
+from rrcalc import acceptance, rings, theories
 from rrcalc.rings import INTEGERS, RATIONALS
 
 
@@ -136,6 +139,157 @@ def test_untwisted_laws_never_revert(theory, reversion_calls):
     a, b = ring_of(theory, (2, 2)).generators()
     theory.law(a, b)
     assert reversion_calls == []
+
+
+# The route `law` took before the table: conjugate the untwisted law by
+# e(x) = x*F(x), with three series evaluations at ring elements per call.
+def _law_by_conjugation(theory, a, b):
+    if a.spec != b.spec:
+        raise SpecMismatch("group law arguments must share a ring")
+    if theory.twist is None:
+        return a + b - a * b if theory.beta else a + b
+    conjugator = theory.twist.times_t()
+    inverse = conjugator.reversion()
+    x, y = eval_series(inverse, a), eval_series(inverse, b)
+    return eval_series(conjugator, x + y - x * y if theory.beta else x + y)
+
+
+def _law_outcome(law, *args):
+    try:
+        return law(*args)
+    except ValueError as error:
+        return type(error)
+
+
+def _seeded_twist(rng, constant, order, dense):
+    rest = [
+        Fraction(rng.randint(-5, 5), rng.randint(1, 6)) if dense or rng.random() < 0.3 else 0
+        for _ in range(order)
+    ]
+    return TruncatedSeries([constant] + rest)
+
+
+LAW_RINGS = [
+    RingSpec(("x",), (5,), RATIONALS),
+    RingSpec(("x", "y"), (3, 2), RATIONALS),
+    RingSpec(("x", "y", "z"), (2, 1, 2), RATIONALS),
+    RingSpec(("c1", "c2", "c3"), (6, 3, 2), RATIONALS, (1, 2, 3), 6),
+]
+
+
+def _seeded_class(rng, spec):
+    monomials = [m for m in spec.monomials() if any(m)]
+    chosen = rng.sample(monomials, rng.randint(0, min(4, len(monomials))))
+    terms = {m: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for m in chosen}
+    if rng.random() < 0.04:
+        terms[(0,) * len(spec.bounds)] = 1  # not nilpotent: both routes refuse it
+    return spec.element(terms)
+
+
+def test_law_matches_the_conjugation_route_on_seeded_cases():
+    rng = random.Random(1602)
+    seen = Counter()
+    for base, constant, dense, order in itertools.product(
+        (CHOW, K_THEORY), (1, -1, Fraction(2, 3), 3), (True, False), range(1, 13)
+    ):
+        theory = twist_theory(base, _seeded_twist(rng, constant, order, dense))
+        for spec in LAW_RINGS:
+            a, b = _seeded_class(rng, spec), _seeded_class(rng, spec)
+            got = _law_outcome(theory.law, a, b)
+            assert got == _law_outcome(_law_by_conjugation, theory, a, b), (theory, a, b)
+            seen[got if isinstance(got, type) else "value"] += 1
+    assert seen.keys() == {"value", InsufficientOrder, NonNilpotentArgument}
+    assert seen["value"] > 600
+
+
+@pytest.mark.parametrize("theory", [CHOW, K_THEORY, exp_deficit_twist(6)], ids=repr)
+def test_law_keeps_the_spec_mismatch_message(theory):
+    a = ring_of(theory, (2,)).generator(0)
+    b = ring_of(theory, (2, 1)).generator(0)
+    with pytest.raises(SpecMismatch, match="^group law arguments must share a ring$"):
+        theory.law(a, b)
+
+
+@pytest.mark.parametrize("theory", [CHOW, K_THEORY, exp_deficit_twist(6)], ids=repr)
+def test_law_refuses_a_constant_term_with_the_series_message(theory):
+    spec = ring_of(theory, (2, 2))
+    x, y = spec.generators()
+    message = "^series can only be evaluated at elements with zero constant term$"
+    with pytest.raises(NonNilpotentArgument, match=message):
+        theory.law(x + 1, y)
+    with pytest.raises(NonNilpotentArgument, match=message):
+        theory.law(x, spec.one())
+
+
+def test_law_names_the_first_monomial_past_the_order():
+    # e = x*(1 + t) has order 2, so a^2*b = x^2*y != 0 is beyond it.
+    theory = twist_theory(CHOW_Q, TruncatedSeries([1, 1]))
+    x, y = RingSpec(("x", "y"), (2, 1), RATIONALS).generators()
+    message = r"^series of order 2 is too short: a\^{}\*b\^{} != 0$"
+    with pytest.raises(InsufficientOrder, match=message.format(2, 1)):
+        theory.law(x, y)
+    line = RingSpec(("x",), (3,), RATIONALS)
+    with pytest.raises(InsufficientOrder, match=message.format(3, 0)):
+        theory.law(line.generator(0), line.zero())
+
+
+def test_law_checks_the_order_on_the_products_not_the_degrees():
+    # Degree 4 > order 2, yet every a^i * b^l with i + l = 3 is x^3 = 0.
+    theory = twist_theory(CHOW_Q, TruncatedSeries([1, 1]))
+    x, y = RingSpec(("x", "y"), (2, 2), RATIONALS).generators()
+    for a, b in ((x, 2 * x), (x + x * y, x), (y, y * y)):
+        assert theory.law(a, b) == _law_by_conjugation(theory, a, b)
+
+
+def test_law_over_the_integers_reads_integer_entries_only():
+    spec = RingSpec(("x", "y"), (2, 2), INTEGERS)
+    x, y = spec.generators()
+    # The deficit twist of Chow has the integral table u + v - uv.
+    assert twist_theory(CHOW, exp_deficit_series(6)).law(x, y) == x + y - x * y
+    # Twisting K by it gives F[1, 2] = 1/2, read here since x*y^2 != 0.
+    twisted_k = twist_theory(K_THEORY, exp_deficit_series(6))
+    with pytest.raises(IntegerDomain, match=r"^1/2 is not an integer; widen the ring"):
+        twisted_k.law(x, y)
+    # In degrees <= 2 its only entries are u, v and -2uv, all integers.
+    u, v = RingSpec(("u", "v"), (1, 1), INTEGERS).generators()
+    assert twisted_k.law(u, v) == u + v - 2 * u * v
+
+
+def test_deficit_and_identity_tables_are_exact_at_every_order():
+    for order in range(1, 31):
+        n = order + 1  # the conjugator's order
+        deficit = twist_theory(CHOW_Q, exp_deficit_series(order))
+        assert deficit._law_table(n) == {(1, 0): 1, (0, 1): 1, (1, 1): -1}
+        identity = twist_theory(CHOW_Q, TruncatedSeries([1], order))
+        assert identity._law_table(n) == {(1, 0): 1, (0, 1): 1}
+
+
+@pytest.mark.parametrize("base", [CHOW, K_THEORY], ids=["chow", "ktheory"])
+def test_law_tables_are_symmetric_with_unit_rows(base):
+    rng = random.Random(1603 + base.beta)
+    for order in range(1, 13):
+        twist = _seeded_twist(rng, rng.choice((1, -1, Fraction(2, 3), 3)), order, True)
+        table = twist_theory(base, twist)._law_table(order + 1)
+        assert all(table.get((l, i)) == c for (i, l), c in table.items())
+        assert all(i + l <= order + 1 and c != 0 for (i, l), c in table.items())
+        # F(u, 0) = u: the only entry without v is u itself.
+        assert {(i, l): c for (i, l), c in table.items() if l == 0} == {(1, 0): 1}
+
+
+def test_twisted_law_never_evaluates_a_series(monkeypatch):
+    calls = []
+
+    def counting(series, argument):
+        calls.append(series)
+        return eval_series(series, argument)
+
+    monkeypatch.setattr(rings, "eval_series", counting)
+    for base in (CHOW, K_THEORY):
+        theory = twist_theory(base, exp_deficit_series(8))
+        theory.group_law(4)
+        a, b = ring_of(theory, (2, 3)).generators()
+        theory.law(a + b, a * b - b)
+    assert calls == []
 
 
 def test_filled_conjugation_cache_keeps_equality_hash_and_repr():
