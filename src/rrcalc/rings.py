@@ -18,7 +18,11 @@ equality and hashing work on these tables; the exponent-vector table
 library builds goes through the trusted `_element`.  Other modules reach
 the kernel through `_tables`, `_convolve`, `_reduced`, `_weighted_sum`,
 `_element`, `_substituted`, `_transposed` and `_eval_bivariate` without
-knowing the packing.
+knowing the packing.  `_eval_bivariate` is the one evaluation kernel: the
+group law calls it, `eval_series` is its one-row case, and it is the one
+place in this module that raises InsufficientOrder.  Weighted degrees of
+packed keys are read through `_weights`, which decodes each key once per
+spec.
 """
 
 from __future__ import annotations
@@ -382,16 +386,15 @@ class RingElement:
 
     def graded_component(self, degree: int) -> "RingElement":
         """Sum of the terms of weighted degree `degree`."""
-        weight, vectors = self.spec.weight, _exponents(self.spec, self._table)
-        table = {k: v for (k, v), e in zip(self._table.items(), vectors) if weight(e) == degree}
+        weights = _weights(self.spec, self._table)
+        table = {k: v for (k, v), w in zip(self._table.items(), weights) if w == degree}
         return _element(self.spec, table, self._denominator)
 
     def graded_components(self) -> list["RingElement"]:
         """Every graded piece, degrees 0..total_degree, in one pass."""
-        weight = self.spec.weight
         pieces: list[dict[int, int]] = [{} for _ in range(self.spec.total_degree + 1)]
-        for (k, v), e in zip(self._table.items(), _exponents(self.spec, self._table)):
-            pieces[weight(e)][k] = v
+        for (k, v), w in zip(self._table.items(), _weights(self.spec, self._table)):
+            pieces[w][k] = v
         return [_element(self.spec, piece, self._denominator) for piece in pieces]
 
     def coefficient_of(self, exponents: Exponents) -> Scalar:
@@ -589,51 +592,27 @@ def _weighted_sum(
     return _element(spec, total, common)
 
 
-def _nilpotent_unit(*arguments: RingElement) -> int:
-    # The key of the monomial 1, once no argument has a constant term.
-    unit = arguments[0].spec._packing[3]
-    if any(unit in a._table for a in arguments):
-        raise NonNilpotentArgument(
-            "series can only be evaluated at elements with zero constant term"
-        )
-    return unit
-
-
 def eval_series(series: TruncatedSeries, argument: RingElement) -> RingElement:
     """sum series[n] * argument^n, a finite sum by nilpotency.
 
-    The argument must have zero constant term.  If some power of the
-    argument is still nonzero beyond the series' truncation order the
-    result would be wrong, so that case raises InsufficientOrder.
-
-    Each power is a packed table of integer numerators over its own
-    denominator, reduced by their common content after every step, and
-    the sum is taken over one lcm at the end.
+    The one-row case of `_eval_bivariate`: F[0, n] = series[n], exact
+    through the series' order, at a = 0 and b = argument.  So the
+    argument must have zero constant term, series[n] is read only where
+    argument^n != 0, and InsufficientOrder is raised when
+    argument^(order + 1) != 0, since the result would be wrong.
     """
-    spec = argument.spec
-    unit = _nilpotent_unit(argument)
-    base, step = list(argument._table.items()), argument._denominator
-    power, denominator = {unit: 1}, 1  # argument^0 = 1
-    # Each summand is (c_n, argument^n as a packed table, its denominator).
-    summands = [(spec.coerce(series[0]), power.items(), denominator)]
-    n = 1
-    while True:
-        power, denominator = _reduced(_convolve(spec, power.items(), base), denominator * step)
-        if not power:
-            break
-        if n > series.order:
-            raise InsufficientOrder(
-                f"series of order {series.order} is too short: argument^{n} != 0"
-            )
-        coefficient = series[n]
-        if coefficient != 0:
-            summands.append((spec.coerce(coefficient), power.items(), denominator))
-        n += 1
-    return _weighted_sum(spec, summands)
+    coefficients = series.coefficients
+    return _eval_bivariate(
+        lambda degree: {(0, n): c for n, c in enumerate(coefficients[: degree + 1]) if c},
+        series.order,
+        argument.spec.zero(),
+        argument,
+    )
 
 
 def _eval_bivariate(
     coefficients: Callable[[int], Mapping[tuple[int, int], Scalar]],
+    known: int | None,
     a: RingElement,
     b: RingElement,
 ) -> RingElement:
@@ -643,25 +622,38 @@ def _eval_bivariate(
     degrees of a and b, so it is zero above the ring's top degree.  Hence
     `coefficients(degree)`, F's nonzero entries for i + l <= degree at
     least, is asked with the largest i + l that can survive, and an entry
-    is read only when it passes this test and b^l != 0.
+    is read only when it passes this test and b^l != 0.  The table is
+    exact through i + l <= `known` (None: at every degree); asked past
+    it, the kernel reads the entries up to `known` and then raises
+    InsufficientOrder at the first a^i * b^l != 0 with i + l = known + 1.
+    When all of those vanish, so does every a^i * b^l past them.
 
     Horner in a: R_i = R_(i+1) * a + G_i(b), G_i(b) = sum_l F[i, l] * b^l
     summed over the packed powers of b.  R_(i+1) ends up times a^(i+1),
     so its terms above degree top - (i+1)*da are dropped before the
     product, which keeps the products as short as the powers of a.
+    Each power of b is a packed table over its own denominator, reduced
+    by their common content after every step.
     """
     spec = a.spec
-    unit = _nilpotent_unit(a, b)
+    unit = spec._packing[3]  # the key of the monomial 1
+    if unit in a._table or unit in b._table:
+        raise NonNilpotentArgument(
+            "series can only be evaluated at elements with zero constant term"
+        )
     top = spec.total_degree
-    da, db = _lowest_degree(a), _lowest_degree(b)
+    # The least weighted degrees of a's and b's monomials; above the top for 0.
+    da, db = (min(_weights(spec, x._table), default=top + 1) for x in (a, b))
+    degree = top // min(da, db)
+    past = known is not None and degree > known
     entries = [
         (i, l, c)
-        for (i, l), c in coefficients(top // min(da, db)).items()
+        for (i, l), c in coefficients(known if past else degree).items()
         if i * da + l * db <= top
     ]
-    powers = [({unit: 1}, 1)]  # b^0 .. b^l while nonzero, up to the largest l kept
+    powers = [({unit: 1}, 1)]  # b^0 .. b^l while nonzero, up to the largest l needed
     base, step = list(b._table.items()), b._denominator
-    for _ in range(max((l for _, l, _ in entries), default=0)):
+    for _ in range(known + 1 if past else max((l for _, l, _ in entries), default=0)):
         last, denominator = powers[-1]
         power = _reduced(_convolve(spec, last.items(), base), denominator * step)
         if not power[0]:
@@ -672,6 +664,16 @@ def _eval_bivariate(
         if l < len(powers):
             rows.setdefault(i, []).append((l, spec.coerce(c)))
     factor = list(a._table.items())
+    if past:
+        n, power = known + 1, {unit: 1}  # a^i, unreduced: only its zeros matter
+        for i in range(n + 1):
+            if n - i < len(powers) and any(
+                _convolve(spec, powers[n - i][0].items(), list(power.items())).values()
+            ):
+                raise InsufficientOrder(
+                    f"series of order {known} is too short: a^{i}*b^{n - i} != 0"
+                )
+            power = _convolve(spec, power.items(), factor)
     result = spec.zero()
     for i in range(max(rows, default=0), -1, -1):
         summands = [(c, powers[l][0].items(), powers[l][1]) for l, c in rows.get(i, ())]
@@ -683,8 +685,3 @@ def _eval_bivariate(
             summands.append((1, product.items(), result._denominator * a._denominator))
         result = _weighted_sum(spec, summands)
     return result
-
-
-def _lowest_degree(a: RingElement) -> int:
-    # The least weighted degree of a's monomials; above the top for a = 0.
-    return min(_weights(a.spec, a._table), default=a.spec.total_degree + 1)

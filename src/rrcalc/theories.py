@@ -32,7 +32,6 @@ from .bundles import BundleClass, multiplicative_extension, whitney_difference
 from .rings import (
     INTEGERS,
     RATIONALS,
-    InsufficientOrder,
     NonUnitConstant,
     RingElement,
     RingSpec,
@@ -106,21 +105,14 @@ class TheoryModel:
         `rings._eval_bivariate`: Horner in a over G_i(b) = sum_l F[i, l] b^l,
         reading only the entries whose a^i * b^l can be nonzero.  A
         twisted table is known for i + l <= N, the order of its conjugator
-        e(x) = x * twist(x), and InsufficientOrder names the first
-        a^i * b^l != 0 with i + l > N.  Over the integers every entry read
-        must be an integer (IntegerDomain otherwise).
+        e(x) = x * twist(x).  Over the integers every entry read must be an
+        integer (IntegerDomain otherwise); after those reads,
+        InsufficientOrder names the first a^i * b^l != 0 with i + l = N + 1.
         """
         if a.spec != b.spec:
             raise SpecMismatch("group law arguments must share a ring")
-
-        def table(degree: int) -> dict[tuple[int, int], Scalar]:
-            # degree: the largest i + l for which a^i * b^l can be nonzero.
-            if self.twist is not None and degree > self.twist.order + 1:
-                degree = self.twist.order + 1
-                _refuse_past(a, b, degree)
-            return self._law_table(degree)
-
-        return _eval_bivariate(table, a, b)
+        known = None if self.twist is None else self.twist.order + 1
+        return _eval_bivariate(self._law_table, known, a, b)
 
     def _law_table(self, degree: int) -> dict[tuple[int, int], Scalar]:
         """The nonzero F[i, l] of the theory's law, at least for i + l <= degree.
@@ -180,15 +172,6 @@ class TheoryModel:
 _UNTWISTED_LAWS = ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1, (1, 1): -1})
 
 
-def _refuse_past(a: RingElement, b: RingElement, order: int) -> None:
-    # InsufficientOrder at the first a^i * b^l != 0 with i + l = order + 1.
-    # When all of those vanish, so does every a^i * b^l with i + l > order.
-    n = order + 1
-    for i in range(n + 1):
-        if not (a**i * b ** (n - i)).is_zero():
-            raise InsufficientOrder(f"series of order {order} is too short: a^{i}*b^{n - i} != 0")
-
-
 def _law_coefficients(
     logarithm: TruncatedSeries, exponential: TruncatedSeries, n: int
 ) -> dict[tuple[int, int], Fraction]:
@@ -198,7 +181,8 @@ def _law_coefficients(
     exponential, F[i, l] = sum_(j, m) [u^i] Q_j * A_(j+m) * [v^l] Q_m, a
     Hankel form on the columns of Q.  The n powers and the two contractions
     take O(n^3) integer multiply-adds on numerators over one denominator,
-    and one Fraction per nonzero entry.
+    and one Fraction per nonzero entry.  F is symmetric, so only the rows
+    i <= l are contracted and each entry is written at (i, l) and (l, i).
     """
     step = common_denominator(logarithm.coefficients[: n + 1])
     powers = [([1] + [0] * n, 1)]
@@ -213,18 +197,19 @@ def _law_coefficients(
     hankel, denominator = common_denominator(
         [c * factorial(k) for k, c in enumerate(exponential.coefficients[: n + 1])]
     )
-    # halves[i][m] = sum_j [u^i] Q_j * A_(j+m), over denominator * common.
+    # halves[i][m] = sum_j [u^i] Q_j * A_(j+m), over denominator * common,
+    # for the rows i <= n - i that an entry with i <= l reads.
     halves = [
         [sum(map(mul, hankel[m : m + i + 1], columns[i])) for m in range(n - i + 1)]
-        for i in range(n + 1)
+        for i in range(n // 2 + 1)
     ]
     denominator *= common * common
     table = {}
-    for i in range(n + 1):
-        for l in range(n - i + 1):
-            total = sum(map(mul, halves[i][: l + 1], columns[l]))
+    for i, half in enumerate(halves):
+        for l in range(i, n - i + 1):
+            total = sum(map(mul, half[: l + 1], columns[l]))
             if total:
-                table[i, l] = Fraction(total, denominator)
+                table[i, l] = table[l, i] = Fraction(total, denominator)
     return table
 
 

@@ -233,6 +233,77 @@ def test_law_names_the_first_monomial_past_the_order():
         theory.law(line.generator(0), line.zero())
 
 
+# The order check `law` made before the kernel owned it: whole-element
+# powers, InsufficientOrder at the first a^i * b^l != 0 with i + l = order + 1.
+def _refuse_past(a, b, order):
+    n = order + 1
+    for i in range(n + 1):
+        if not (a**i * b ** (n - i)).is_zero():
+            raise InsufficientOrder(f"series of order {order} is too short: a^{i}*b^{n - i} != 0")
+
+
+def _refusal(evaluate, *args):
+    """The InsufficientOrder message of one call, or None if it returns."""
+    try:
+        evaluate(*args)
+    except InsufficientOrder as error:
+        return str(error)
+    return None
+
+
+def _seeded_nilpotent(rng, spec):
+    a = _seeded_class(rng, spec)
+    return a - a.constant_term
+
+
+def test_law_refuses_past_its_order_where_the_whole_element_check_does():
+    # Below its order a law is never refused, and there every a^i * b^l
+    # with i + l = order + 1 vanishes too, so the oracle runs on every case.
+    rng = random.Random(1701)
+    seen = Counter()
+    for base, dense, order in itertools.product((CHOW, K_THEORY), (True, False), range(1, 5)):
+        theory = twist_theory(base, _seeded_twist(rng, rng.choice((1, -1, 3)), order, dense))
+        for spec, _ in itertools.product(LAW_RINGS, range(3)):
+            a, b = _seeded_nilpotent(rng, spec), _seeded_nilpotent(rng, spec)
+            message = _refusal(theory.law, a, b)
+            assert message == _refusal(_refuse_past, a, b, order + 1), (theory, a, b)
+            seen[message and message.split(": ")[1]] += 1
+    assert seen[None] > 50 and seen.total() - seen[None] > 20 and len(seen) > 6
+
+
+def test_eval_series_refuses_past_its_order_where_the_whole_element_check_does():
+    # The one-row case: F[0, n] = series[n] at a = 0, so the first nonzero
+    # product past the order is b^(order + 1) itself.
+    rng = random.Random(1702)
+    seen = Counter()
+    for order, spec in itertools.product(range(0, 6), LAW_RINGS):
+        series = _seeded_twist(rng, rng.choice((0, 1, Fraction(2, 3))), order, True)
+        for _ in range(3):
+            argument = _seeded_nilpotent(rng, spec)
+            message = _refusal(eval_series, series, argument)
+            assert message == _refusal(_refuse_past, spec.zero(), argument, order)
+            seen[message is None] += 1
+    assert seen[True] > 10 and seen[False] > 10
+
+
+def test_twisted_law_over_the_integers_reads_its_entries_before_the_order_check():
+    # e = x + x^2/3 has order 2, and its law is u + v + 2/3 uv + ...  With
+    # a = b = x in Z[x]/(x^4), x^3 != 0 lies past the order, but the entry
+    # 2/3 of a*b is read first, as the conjugation route reads the 1/3 of
+    # the reversion first.
+    theory = twist_theory(CHOW_Q, TruncatedSeries([1, Fraction(1, 3)]))
+    x = RingSpec(("x",), (3,), INTEGERS).generator(0)
+    with pytest.raises(IntegerDomain, match=r"^2/3 is not an integer"):
+        theory.law(x, x)
+    with pytest.raises(IntegerDomain):
+        _law_by_conjugation(theory, x, x)
+    # Over Q the same arguments are refused for their order.
+    x = RingSpec(("x",), (3,), RATIONALS).generator(0)
+    message = r"^series of order 2 is too short: a\^0\*b\^3 != 0$"
+    with pytest.raises(InsufficientOrder, match=message):
+        theory.law(x, x)
+
+
 def test_law_checks_the_order_on_the_products_not_the_degrees():
     # Degree 4 > order 2, yet every a^i * b^l with i + l = 3 is x^3 = 0.
     theory = twist_theory(CHOW_Q, TruncatedSeries([1, 1]))
