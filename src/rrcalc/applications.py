@@ -8,20 +8,21 @@ images into the twisted theory.  The central check is the residual
     phi(f_!(a)) - f^tw_*(phi(a))
 
 for a map f: Y -> X carrying a K-theory class a; the twisted
-pushforward multiplies by Td(T_f) = (1/F)_x(T_f) before pushing, so the
-residual vanishes exactly when the Grothendieck-Riemann-Roch square
-commutes for that pair.  The rest of the module specializes the same
-identity to numbers: Euler characteristics on projective spaces, chi
-for abstract curves and surfaces given by intersection data, adjunction
-for hypersurfaces, Chern classes of structure sheaves, and the
-Zeuthen-Segre count for surfaces fibered by a pencil.
+pushforward multiplies by Td(T_f) = (1/F)_x(T_f), which the Euler
+sequence makes a power of the Todd series or of its reciprocal at one
+generator, before pushing, so the residual vanishes exactly when the
+Grothendieck-Riemann-Roch square commutes for that pair.  The rest of
+the module specializes the same identity to numbers: Euler
+characteristics on projective spaces, chi for abstract curves and
+surfaces given by intersection data, adjunction for hypersurfaces,
+Chern classes of structure sheaves, and the Zeuthen-Segre count for
+surfaces fibered by a pencil.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .bundles import chern_from_character, todd_class
 from .rings import RingElement, SpecMismatch, eval_series
@@ -96,14 +97,8 @@ class FormSingularityData:
             raise ValueError("total singularity length must be >= 0")
 
 
-@lru_cache(maxsize=None)
 def _todd_twist(n: int) -> TheoryModel:
-    """CHOW_Q twisted by (1 - e^-t)/t at order n, one theory per source dimension.
-
-    Order n covers every T_f on an n-dimensional source.  The shared
-    theory keeps each morphism's Todd correction in `_corrections`
-    across calls.
-    """
+    """CHOW_Q twisted by (1 - e^-t)/t at order n, enough for any T_f on an n-dim source."""
     return twist_theory(CHOW_Q, exp_deficit_series(n))
 
 

@@ -60,36 +60,36 @@ from .theories import (
     twist_theory,
 )
 
-# Highest `verify twist-law --order`: about 0.2 s on a 2-vCPU Xeon host, 30 ms of
+# Highest `verify twist-law --order`: 0.12-0.16 s on a 2-vCPU Xeon host, 30 ms of
 # it the law; the law takes 0.3 s at 56 and 3.6 s at 112, roughly order^3.5.
 MAX_TWIST_LAW_ORDER = 28
-# Highest `ch --order`: 1.1-2.0 s with as many symbols as the order (34: 2.1-2.8 s).
+# Highest `ch --order`: 0.8-1.0 s with as many symbols as the order (34: 1.3-1.9 s).
 MAX_CH_ORDER = 32
-# Highest `todd --order`: 0.5-0.7 s; 600 takes 1.1-1.3 s and 1000 7-11 s.
+# Highest `todd --order`: 0.5-0.7 s; 600 takes 0.9-1.6 s and 1000 6.4-7.5 s.
 MAX_TODD_ORDER = 500
 # Most `ch --chern` symbols.  Symbols past --order get no generator, so 48
-# symbols cost what 32 do at `--order 32` (1.8-1.9 s).
+# symbols cost what 32 do at `--order 32` (0.8-1.05 s).
 MAX_CH_SYMBOLS = 48
-# Largest |--twist| of `chi pn` and `verify grr`: adds under 0.1 s at the
-# largest --dim; twists of 10^100 take 0.4 s on P^20 and 10^1000 over 90 s.
+# Largest |--twist| of `chi pn` and `verify grr`: adds under 0.05 s at the
+# largest --dim; twists of 10^100 take 0.3 s on P^20 and 10^1000 over 90 s.
 MAX_TWIST = 10**6
 # Highest --dim per command, with its time at the bound and one step up, for
-# one process including about 0.1 s of interpreter start and imports:
-# chi pn 0.27-0.39 s (100: 0.64-0.80 s); verify grr 0.23-0.25 s with
-# --immersion 59 (70: 0.32-0.37 s, 80: 0.41-0.45 s); diagonal 0.42-0.58 s
-# in chow and 0.5-0.67 s in k (240: 0.64-0.68 s and 0.67-0.71 s);
-# adjunction 0.23-0.29 s (100: 0.45-0.57 s).
+# one process including about 0.15 s of interpreter start and imports:
+# chi pn 0.14-0.24 s (100: 0.20-0.37 s); verify grr 0.12-0.16 s with
+# --immersion 59 (70: 0.14-0.19 s, 80: 0.17-0.26 s); diagonal 0.21-0.40 s
+# in chow and 0.28-0.50 s in k (240: 0.29-0.41 s and 0.35-0.53 s);
+# adjunction 0.21-0.34 s (100: 0.35-0.58 s).
 MAX_CHI_PN_DIM = 80
 MAX_GRR_DIM = 60
 MAX_DIAGONAL_DIM = 200
 MAX_ADJUNCTION_DIM = 80
-# Highest `sheaf-chern --codim`: 0.2-0.45 s; 384 takes 0.4-0.5 s, 512 0.6-0.7 s.
+# Highest `sheaf-chern --codim`: 0.2-0.3 s; 384 takes 0.3-0.5 s, 512 0.5-0.65 s.
 MAX_SHEAF_CODIM = 256
 # Largest |value| of the plain-number flags (ranks, degrees, genus,
 # intersection numbers, lengths).  Their outputs are polynomials of low
 # degree in them, so every printed integer stays far below the 4300 digits
 # that str() of an int accepts; `adjunction --deg 1000000` at --dim 80 takes
-# 0.4-0.6 s, like the smallest degree.
+# 0.2-0.33 s, like the smallest degree.
 MAX_NUMBER = 10**6
 
 # Library invariant checks; reaching one from the CLI is a bug (exit 3).

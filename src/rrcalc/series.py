@@ -70,6 +70,14 @@ def _reduced_product(left, right, n: int) -> tuple[list[int], int]:
     return out, denominator
 
 
+def _powers(base, n: int, count: int) -> list[tuple[list[int], int]]:
+    """base^0 .. base^count as `_reduced_product` rows, each cut after t^n."""
+    powers = [([1] + [0] * n, 1)]
+    for _ in range(count):
+        powers.append(_reduced_product(powers[-1], base, n))
+    return powers
+
+
 def _inverse(coefficients: Sequence[Fraction]) -> tuple[list[Fraction], list[int], int]:
     """The coefficients of 1/f, and their integer numerators over one denominator E.
 
@@ -254,11 +262,8 @@ class TruncatedSeries:
         n = self.order
         _, q, e = _inverse(self.coefficients[1:])
         m = isqrt(n)
-        unit = ([1] + [0] * (n - 1), 1)
-        baby = [unit, (q, e)]
-        while len(baby) <= m:  # q^0 .. q^m
-            baby.append(_reduced_product(baby[-1], baby[1], n - 1))
-        giant = unit
+        baby = _powers((q, e), n - 1, m)
+        giant = baby[0]
         out = [Fraction(0)]
         for k in range(1, n + 1):
             r = k % m

@@ -7,17 +7,19 @@ Both theories on X = P^d1 x ... x P^dk carry the law x + y - beta*xy:
 * beta = 1, the multiplicative model ("ktheory"): t_i = 1 - [O(-1)],
   the K-fundamental class of a hyperplane, group law x + y - xy.
 
-Pullbacks substitute generators, pushforwards are monomial tables along
-linear immersions and projections.  Twisting a theory by an invertible
-series F keeps rings and pullbacks, replaces every pushforward f_* by
-a |-> f_*(F_x(T_f)^(-1) * a), and conjugates the group law by
-e(x) = x*F(x).  Every theory keeps its law as a coefficient table
-F[i, l], c1(L tensor L') = sum F[i, l] c1(L)^i c1(L')^l: the constant
-x + y - beta*xy untwisted, and exp_T(log_T u + log_T v) truncated at
-the conjugator's order once twisted, built once per theory from one
-reversion.  The universal morphism t_i |-> 1 - e^(-h_i) identifies the
-multiplicative model with the additive one over the rationals; its
-graded leading term is exposed separately.
+Pullbacks substitute generators, pushforwards are monomial tables
+along linear immersions and projections.  Twisting a theory by an
+invertible series F keeps rings and pullbacks, replaces every
+pushforward f_* by a |-> f_*(F_x(T_f)^(-1) * a), where the Euler
+sequence makes the correction a power of F or 1/F at the acted
+generator, and conjugates the group law by e(x) = x*F(x).  Every theory
+keeps its law as a coefficient table F[i, l], c1(L tensor L') = sum
+F[i, l] c1(L)^i c1(L')^l: the constant x + y - beta*xy untwisted, and
+exp_T(log_T u + log_T v) truncated at the conjugator's order once
+twisted, built once per theory from one reversion.  The universal
+morphism t_i |-> 1 - e^(-h_i) identifies the multiplicative model with
+the additive one over the rationals; its graded leading term is
+exposed separately.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import cached_property, lru_cache
 from math import factorial, lcm
 from operator import mul
 
-from .bundles import BundleClass, multiplicative_extension, whitney_difference
+from .bundles import BundleClass, whitney_difference
 from .rings import (
     INTEGERS,
     RATIONALS,
@@ -40,8 +42,9 @@ from .rings import (
     _eval_bivariate,
     _substituted,
     _transposed,
+    eval_series,
 )
-from .series import TruncatedSeries, _reduced_product, common_denominator, exp_deficit_series
+from .series import TruncatedSeries, _powers, common_denominator, exp_deficit_series
 
 Dims = tuple[int, ...]
 
@@ -152,12 +155,6 @@ class TheoryModel:
         minus_log = TruncatedSeries([0] + [Fraction(1, k) for k in range(1, n + 1)])
         return minus_log.compose(inverse), conjugator.compose(exp_deficit_series(n - 1).times_t())
 
-    @cached_property
-    def _corrections(self) -> dict[Morphism, RingElement]:
-        # F_x(T_f)^(-1) per morphism, filled by the twisted pushforward.  The
-        # stored elements are shared, so they stay immutable by convention.
-        return {}
-
     def group_law(self, order: int) -> RingElement:
         """F(u, v) in scalars[u, v]/(u^(order+1), v^(order+1)): `law` at u and v.
 
@@ -184,10 +181,7 @@ def _law_coefficients(
     and one Fraction per nonzero entry.  F is symmetric, so only the rows
     i <= l are contracted and each entry is written at (i, l) and (l, i).
     """
-    step = common_denominator(logarithm.coefficients[: n + 1])
-    powers = [([1] + [0] * n, 1)]
-    for _ in range(n):
-        powers.append(_reduced_product(powers[-1], step, n))
+    powers = _powers(common_denominator(logarithm.coefficients[: n + 1]), n, n)
     scales = [d * factorial(j) for j, (_, d) in enumerate(powers)]
     common = lcm(*scales)
     # columns[i][j] = [u^i] Q_j * common, nonzero only for j <= i.
@@ -285,8 +279,8 @@ class Morphism:
     factor: int
 
     def __post_init__(self):
-        # Tuples of ints, so that a descriptor hashes and keys the
-        # per-morphism corrections of a twisted theory.
+        # Tuples of ints, so that descriptors of one shape compare and
+        # hash equal whatever sequences built them.
         source, target, j = _dims(self.source), _dims(self.target), self.factor
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -356,25 +350,26 @@ def pushforward(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement
 
     * linear immersion P^m in P^n: x^r |-> x^(r + n - m);
     * projections: x^r |-> beta^(top - r) on the collapsed generator;
-    * twisted theory: untwisted pushforward of F_x(T_f)^(-1) * a, with
-      T_f = relative_tangent(theory, f); the correction, computed as
-      (1/F)_x(T_f), is kept once per theory and morphism.
+    * twisted theory: the untwisted pushforward of F_x(T_f)^(-1) * a.  By
+      the Euler sequence T_f is -(n - m) copies of O(1) on the acted
+      factor for an immersion, and d + 1 copies less a trivial line for
+      collapsing P^d, so the correction (1/F)_x(T_f) is F(x)^(n - m), or
+      (1/F)(x)^(d + 1) * F(0), at the acted generator x, with F cut to
+      the source's total degree.  A shorter F raises InsufficientOrder
+      where x^(order + 1) != 0, unless n = m.
     """
-    if a.spec != ring_of(theory, f.source):
+    spec = ring_of(theory, f.source)
+    if a.spec != spec:
         raise SpecMismatch(f"{a.spec} is not the source ring of {f}")
-    if theory.twist is not None:
-        correction = theory._corrections.get(f)
-        if correction is None:
-            # F_x(T_f)^(-1) = (1/F)_x(T_f): invert the series, not the ring
-            # element, after cutting it to the degree the extension reads.
-            tangent = relative_tangent(theory, f)
-            order = min(theory.twist.order, tangent.spec.total_degree)
-            inverse = theory.twist.truncated(order).inverse()
-            correction = theory._corrections[f] = multiplicative_extension(inverse, tangent)
-        carrier = TheoryModel(theory.beta, RATIONALS)
-        return pushforward(carrier, f, correction * a)
     j = f.factor
     top = f.source[j]
+    if theory.twist is not None:
+        twist = theory.twist.truncated(min(theory.twist.order, spec.total_degree))
+        x = spec.generator(j)
+        if not f.is_immersion:
+            a = eval_series(twist.inverse(), x) ** (top + 1) * twist[0] * a
+        elif f.target[j] > top:
+            a = eval_series(twist, x) ** (f.target[j] - top) * a
     if f.is_immersion:
         images = [[(r + f.target[j] - top, 1)] for r in range(top + 1)]
     else:
@@ -388,21 +383,16 @@ def _character_images(d: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], 
     """(rows, D): row r holds each (f, N) with N / D = [h^f] (1 - e^(-h))^r != 0.
 
     Row r is the image of t^r on P^d: the r-th power of one series
-    truncated at order d, so the table costs d series products, once per
-    d, and is kept as the nonzero integer numerators over one common
-    denominator.  Row r has no entry with f < r.
+    truncated at order d, so the table costs d integer products
+    (`series._powers`), once per d, and is kept as the nonzero numerators
+    over D, the lcm of the rows' denominators.  Row r has no entry with
+    f < r.
     """
     image = exp_deficit_series(d).times_t().truncated(d)
-    row = TruncatedSeries([1], d)
-    rows = [row.coefficients]
-    for _ in range(d):
-        row = row * image
-        rows.append(row.coefficients)
-    numerators, denominator = common_denominator([c for row in rows for c in row])
-    width = d + 1
+    rows = _powers(common_denominator(image.coefficients), d, d)
+    denominator = lcm(*(e for _, e in rows))
     images = tuple(
-        tuple((f, n) for f, n in enumerate(numerators[r * width : (r + 1) * width]) if n)
-        for r in range(width)
+        tuple((f, n * (denominator // e)) for f, n in enumerate(row) if n) for row, e in rows
     )
     return images, denominator
 

@@ -40,8 +40,7 @@ from rrcalc import (
     verify_grr,
     zeuthen_segre,
 )
-from rrcalc import acceptance, applications, theories
-from rrcalc.acceptance import run_criterion
+from rrcalc import acceptance, applications
 from rrcalc.applications import _todd_twist
 from rrcalc.rings import INTEGERS, RATIONALS
 
@@ -130,50 +129,6 @@ def test_a_shifted_k_pushforward_leaves_residual_one_on_both_routes(monkeypatch)
         assert _grr_residual_by_todd_classes(n, f, a, _k_pushforward_plus_one) == 1
 
 
-def _grr_grid_run(monkeypatch):
-    """One run of criterion 3, as the (morphism, residual) pairs it checked."""
-    run, verify = [], applications.verify_grr
-
-    def recording_verify(n, f, a):
-        run.append((f, verify(n, f, a)))
-        return run[-1][1]
-
-    monkeypatch.setattr(acceptance, "verify_grr", recording_verify)
-    assert run_criterion(3).passed
-    return run
-
-
-def test_cached_classes_are_unchanged_by_the_grr_grid(monkeypatch):
-    # The Todd corrections are shared elements on each _todd_twist(n); a
-    # second run of criterion 3 must keep their identity and terms.
-    first = _grr_grid_run(monkeypatch)
-    corrections = {f: _todd_twist(sum(f.source))._corrections[f] for f, _ in first}
-    terms = {f: dict(correction.terms) for f, correction in corrections.items()}
-    assert _grr_grid_run(monkeypatch) == first
-    for f, correction in corrections.items():
-        assert _todd_twist(sum(f.source))._corrections[f] is correction
-        assert dict(correction.terms) == terms[f]
-
-
-def test_grr_grid_computes_each_correction_once(monkeypatch):
-    # Two runs of criterion 3 together build each distinct morphism's
-    # correction once, on the twisted theory of its source dimension.
-    _todd_twist.cache_clear()
-    built, tangent = [], theories.relative_tangent
-
-    def recording_tangent(theory, f):
-        built.append((theory, f))
-        return tangent(theory, f)
-
-    monkeypatch.setattr(theories, "relative_tangent", recording_tangent)
-    first = _grr_grid_run(monkeypatch)
-    assert _grr_grid_run(monkeypatch) == first
-    morphisms = {f for f, _ in first}
-    assert len(built) == len(set(built)) == len(morphisms) == 22
-    assert {f for _, f in built} == morphisms
-    assert all(theory is _todd_twist(sum(f.source)) for theory, f in built)
-
-
 def _morphism_shapes():
     for width in (1, 2, 3):
         for dims in itertools.product(range(3), repeat=width):
@@ -185,10 +140,12 @@ def _morphism_shapes():
 
 
 def test_each_twisted_correction_is_the_relative_todd_class():
+    # The Euler-sequence correction pushes forward like Td(T_f) built from
+    # the relative tangent bundle by the multiplicative extension.
     for f in _morphism_shapes():
         tw = _todd_twist(sum(f.source))
-        pushforward(tw, f, ring_of(tw, f.source).one())
-        assert tw._corrections[f] == todd_class(relative_tangent(CHOW_Q, f))
+        todd = todd_class(relative_tangent(CHOW_Q, f))
+        assert pushforward(tw, f, ring_of(tw, f.source).one()) == pushforward(CHOW_Q, f, todd)
 
 
 def test_grr_checks_the_stated_dimension():

@@ -43,6 +43,8 @@ INVOCATIONS = [
     ["zeuthen", "--dk", "6", "--d2", "4", "--lengths", "1"],
     ["ch", "--chern", ","],
     ["verify", "twist-law", "--order", "0"],
+    ["chi", "pn", "--dim", "80", "--twist", "1000000"],
+    ["verify", "grr", "--dim", "60", "--immersion", "59", "--twist", "-1000000"],
 ]
 
 

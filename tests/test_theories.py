@@ -766,6 +766,45 @@ def test_twisted_corrections_stay_with_their_theory():
             )
 
 
+def _every_shape():
+    # Every projection and immersion (codimension 0..2) on P^0..P^3 and on
+    # two factors of P^0..P^2.
+    for width, top in ((1, 3), (2, 2)):
+        for dims in itertools.product(range(top + 1), repeat=width):
+            for j, d in enumerate(dims):
+                yield factor_projection(CHOW, dims, j)
+                for codim in range(3):
+                    yield linear_immersion(CHOW, d, d + codim, within=dims, factor=j)
+
+
+def _value_or_error_class(compute):
+    try:
+        return compute()
+    except InsufficientOrder:
+        return InsufficientOrder
+
+
+def test_euler_sequence_correction_matches_the_relative_tangent_route():
+    # The twisted pushforward reads its correction off the Euler sequence;
+    # the multiplicative extension of the twist over relative_tangent is its
+    # oracle.  Seeded twists of both betas, with F(0) in {1, -1, 2/3, 3, 1/2}
+    # and orders 0..4, so many are shorter than the source.  The two routes
+    # word a too-short twist differently, so only the error class is compared.
+    rng = random.Random(1729)
+    shapes = list(_every_shape())
+    branches = Counter()
+    for beta in (0, 1):
+        for head in (1, -1, Fraction(2, 3), 3, Fraction(1, 2)):
+            tail = [acceptance._random_fraction(rng) for _ in range(rng.randint(0, 4))]
+            tw = twist_theory(TheoryModel(beta, RATIONALS), TruncatedSeries([head] + tail))
+            for f in shapes:
+                a = acceptance._random_element(rng, ring_of(tw, f.source))
+                expected = _value_or_error_class(lambda: _uncached_twisted_pushforward(tw, f, a))
+                assert _value_or_error_class(lambda: pushforward(tw, f, a)) == expected
+                branches[beta, expected is InsufficientOrder] += 1
+    assert len(branches) == 4 and min(branches.values()) >= 20
+
+
 def test_filled_correction_cache_keeps_equality_hash_and_repr():
     series = exp_deficit_series(10)
     used = twist_theory(CHOW, series)
