@@ -38,12 +38,7 @@ from .rings import (
     _weighted_sum,
     eval_series,
 )
-from .series import (
-    TruncatedSeries,
-    exponential_series,
-    log_one_plus_series,
-    todd_series,
-)
+from .series import TruncatedSeries, _log_ratio, exponential_series, todd_series
 
 
 class RankMismatch(ValueError):
@@ -195,10 +190,11 @@ def multiplicative_extension(series: TruncatedSeries, e: BundleClass) -> RingEle
     """F(a_1) * ... * F(a_r), a unit element.
 
     Computed log-free in the roots but not in the coefficients: with
-    F = F0*(1 + G), the product is F0^rank * exp(sum log(1+G)(a_i)), the
-    exponential of the additive extension of log(1+G), and both log(1+G)
-    and exp are exact truncated series.  Negative ranks invert:
-    F_x(-E) = F_x(E)^(-1).
+    F0 = F(0), the product is F0^rank * exp(sum log(F/F0)(a_i)), the
+    exponential of the additive extension of log(F/F0), and both are
+    exact truncated series.  The logarithm is read on integer numerators
+    as the integral of F'/F (`series._log_ratio`), cut at the ring's
+    total degree.  Negative ranks invert: F_x(-E) = F_x(E)^(-1).
     """
     c0 = series[0]
     if c0 == 0:
@@ -209,10 +205,7 @@ def multiplicative_extension(series: TruncatedSeries, e: BundleClass) -> RingEle
     # beyond it; a shorter series stays whole, and additive_extension
     # raises InsufficientOrder if a nonzero power sum lies beyond it.
     order = min(series.order, e.spec.total_degree)
-    reduced = series.truncated(order) * (Fraction(1) / c0)
-    gap = reduced - TruncatedSeries([1], order)
-    log_part = log_one_plus_series(order).compose(gap)
-    exponent = additive_extension(log_part, e)
+    exponent = additive_extension(_log_ratio(series.coefficients, order), e)
     value = eval_series(exponential_series(e.spec.total_degree), exponent)
     return value * (Fraction(c0) ** e.rank)
 

@@ -10,8 +10,10 @@ The kernels run on integer numerators over one common denominator and
 build one `Fraction` per output coefficient: a product is one integer
 convolution, `_truncated_product`; the inverse keeps its coefficients
 over a running lcm, so each step is one integer dot product (O(n^2) in
-all); reversion projects baby-step/giant-step powers of t/f (Brent & Kung
-1978) with about 2*sqrt(n) products, O(n^2.5).
+all); the logarithm log(f/f(0)) is the integral of f' times that
+inverse, one more product (`_log_ratio`); reversion projects
+baby-step/giant-step powers of t/f (Brent & Kung 1978) with about
+2*sqrt(n) products, O(n^2.5).
 """
 
 from __future__ import annotations
@@ -78,6 +80,18 @@ def _powers(base, n: int, count: int) -> list[tuple[list[int], int]]:
     return powers
 
 
+def _power(base, k: int, n: int) -> tuple[list[int], int]:
+    """base^k as a `_reduced_product` row cut after t^n, by square-and-multiply."""
+    result = ([1] + [0] * n, 1)
+    while k:
+        if k & 1:
+            result = _reduced_product(result, base, n)
+        k >>= 1
+        if k:
+            base = _reduced_product(base, base, n)
+    return result
+
+
 def _inverse(coefficients: Sequence[Fraction]) -> tuple[list[Fraction], list[int], int]:
     """The coefficients of 1/f, and their integer numerators over one denominator E.
 
@@ -101,6 +115,22 @@ def _inverse(coefficients: Sequence[Fraction]) -> tuple[list[Fraction], list[int
         numerators.append(c.numerator * (e // d))
         out.append(c)
     return out, numerators, e
+
+
+def _log_ratio(coefficients: Sequence[Fraction], n: int) -> TruncatedSeries:
+    """log(f / f(0)) through t^n, as the integral of f'/f; f(0) must be nonzero.
+
+    With f = q / D on integer numerators and 1/f = N / E (`_inverse`),
+    f'/f is the one truncated product q' * N over D * E, and t^k of the
+    logarithm is its t^(k-1) coefficient over k: O(n^2) integer
+    multiply-adds and one `Fraction` per coefficient.
+    """
+    head = coefficients[: n + 1]
+    q, d = common_denominator(head)
+    _, inverse, e = _inverse(head)
+    derivative = [k * c for k, c in enumerate(q)][1:]
+    quotient = _truncated_product(derivative, inverse, n - 1)
+    return TruncatedSeries([0] + [Fraction(c, k * d * e) for k, c in enumerate(quotient, 1)])
 
 
 def _rational(value: Scalar) -> Fraction:

@@ -12,7 +12,8 @@ along linear immersions and projections.  Twisting a theory by an
 invertible series F keeps rings and pullbacks, replaces every
 pushforward f_* by a |-> f_*(F_x(T_f)^(-1) * a), where the Euler
 sequence makes the correction a power of F or 1/F at the acted
-generator, and conjugates the group law by e(x) = x*F(x).  Every theory
+generator, a series in that generator alone, which is folded into the
+monomial table, and conjugates the group law by e(x) = x*F(x).  Every theory
 keeps its law as a coefficient table F[i, l], c1(L tensor L') = sum
 F[i, l] c1(L)^i c1(L')^l: the constant x + y - beta*xy untwisted, and
 exp_T(log_T u + log_T v) truncated at the conjugator's order once
@@ -34,6 +35,7 @@ from .bundles import BundleClass, whitney_difference
 from .rings import (
     INTEGERS,
     RATIONALS,
+    InsufficientOrder,
     NonUnitConstant,
     RingElement,
     RingSpec,
@@ -42,11 +44,19 @@ from .rings import (
     _eval_bivariate,
     _substituted,
     _transposed,
-    eval_series,
 )
-from .series import TruncatedSeries, _powers, common_denominator, exp_deficit_series
+from .series import (
+    TruncatedSeries,
+    _inverse,
+    _log_ratio,
+    _power,
+    _powers,
+    common_denominator,
+    exp_deficit_series,
+)
 
 Dims = tuple[int, ...]
+Images = list[list[tuple[int, int]]]  # row e: the (f, w) with x^e |-> sum w * x^f
 
 
 class SolverInconsistent(ValueError):
@@ -142,8 +152,8 @@ class TheoryModel:
         Both have the conjugator's order N.  The law is e(g(u) +_beta g(v))
         with e(x) = x * twist(x) and g its reversion, and x +_1 y =
         x + y - xy has logarithm -log(1 - x) and exponential 1 - e^(-s); so
-        log_T = g at beta 0 and -log(1 - g) at beta 1, exp_T = e or
-        e(1 - e^(-s)).
+        log_T = g at beta 0 and -log(1 - g) at beta 1, read as
+        `series._log_ratio` of 1 - g, exp_T = e or e(1 - e^(-s)).
         """
         # cached_property writes the instance __dict__ directly, so it works
         # on the frozen dataclass and stays out of ==, hash and repr.
@@ -152,8 +162,8 @@ class TheoryModel:
         if not self.beta:
             return inverse, conjugator
         n = conjugator.order
-        minus_log = TruncatedSeries([0] + [Fraction(1, k) for k in range(1, n + 1)])
-        return minus_log.compose(inverse), conjugator.compose(exp_deficit_series(n - 1).times_t())
+        complement = [Fraction(1)] + [-c for c in inverse.coefficients[1:]]  # 1 - g
+        return -_log_ratio(complement, n), conjugator.compose(exp_deficit_series(n - 1).times_t())
 
     def group_law(self, order: int) -> RingElement:
         """F(u, v) in scalars[u, v]/(u^(order+1), v^(order+1)): `law` at u and v.
@@ -353,29 +363,64 @@ def pushforward(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement
     * twisted theory: the untwisted pushforward of F_x(T_f)^(-1) * a.  By
       the Euler sequence T_f is -(n - m) copies of O(1) on the acted
       factor for an immersion, and d + 1 copies less a trivial line for
-      collapsing P^d, so the correction (1/F)_x(T_f) is F(x)^(n - m), or
-      (1/F)(x)^(d + 1) * F(0), at the acted generator x, with F cut to
-      the source's total degree.  A shorter F raises InsufficientOrder
-      where x^(order + 1) != 0, unless n = m.
+      collapsing P^d, so the correction (1/F)_x(T_f) is a series c in the
+      acted generator x alone: F(x)^(n - m), or (1/F)(x)^(d + 1) * F(0).
+      Multiplying by c and pushing are both maps on x's exponent, so c is
+      folded into the table (`_folded`) and `a` is substituted once.  An
+      F of order N < top, where x^(N + 1) != 0, raises InsufficientOrder,
+      unless n = m.
     """
-    spec = ring_of(theory, f.source)
-    if a.spec != spec:
+    if a.spec != ring_of(theory, f.source):
         raise SpecMismatch(f"{a.spec} is not the source ring of {f}")
     j = f.factor
     top = f.source[j]
-    if theory.twist is not None:
-        twist = theory.twist.truncated(min(theory.twist.order, spec.total_degree))
-        x = spec.generator(j)
-        if not f.is_immersion:
-            a = eval_series(twist.inverse(), x) ** (top + 1) * twist[0] * a
-        elif f.target[j] > top:
-            a = eval_series(twist, x) ** (f.target[j] - top) * a
     if f.is_immersion:
         images = [[(r + f.target[j] - top, 1)] for r in range(top + 1)]
     else:
         weights = (theory.beta ** (top - r) for r in range(top + 1))
         images = [[(0, w)] if w else [] for w in weights]
-    return _substituted(a, ring_of(theory, f.target), j, images)
+    scale = 1
+    if theory.twist is not None and (not f.is_immersion or f.target[j] > top):
+        correction, scale = _euler_correction(theory.twist, f)
+        images = _folded(images, correction)
+    return _substituted(a, ring_of(theory, f.target), j, images, scale)
+
+
+def _euler_correction(twist: TruncatedSeries, f: Morphism) -> tuple[list[int], int]:
+    """(c, D): the twisted correction c / D of f, at x^0 .. x^top of the acted generator.
+
+    F(x)^(n - m) for an immersion, (1/F)(x)^(d + 1) * F(0) for collapsing
+    P^d, on integer rows cut after x^top: a square-and-multiply power
+    (`series._power`), of `_inverse` for a collapse.  Only F through x^top
+    is read, so F must reach it.
+    """
+    top = f.source[f.factor]
+    if twist.order < top:
+        n = twist.order
+        raise InsufficientOrder(f"series of order {n} is too short: a^0*b^{n + 1} != 0")
+    head = twist.coefficients[: top + 1]
+    if f.is_immersion:
+        return _power(common_denominator(head), f.target[f.factor] - top, top)
+    _, inverse, e = _inverse(head)
+    c, d = _power((inverse, e), top + 1, top)
+    return [v * head[0].numerator for v in c], d * head[0].denominator
+
+
+def _folded(images: Images, correction: list[int]) -> Images:
+    """The table of x^e |-> sum_g c_g * images[e + g]: c multiplied in before `images`.
+
+    x^(e + g) is zero past the table's top, so g stops there; the terms of
+    one row that land on one exponent are summed.
+    """
+    out = []
+    for e in range(len(images)):
+        row: dict[int, int] = {}
+        for c, image in zip(correction, images[e:]):
+            if c:
+                for f, w in image:
+                    row[f] = row.get(f, 0) + c * w
+        out.append([(f, w) for f, w in row.items() if w])
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -38,6 +38,7 @@ from rrcalc.rings import (
 )
 from rrcalc.series import (
     TruncatedSeries,
+    _log_ratio,
     exponential_series,
     log_one_plus_series,
     todd_series,
@@ -183,6 +184,21 @@ def test_multiplicative_extension_matches_the_uncut_log():
     assert 0 < raised < 75  # both branches were exercised
 
 
+def test_the_log_kernel_matches_the_composed_log_on_seeded_units():
+    # log(f/f(0)) as the integral of f'/f against log(1 + t) composed with
+    # f/f(0) - 1, with f(0) negative and fractional, at orders 0..30.
+    rng = random.Random(1603)
+    for order in range(31):
+        for head in (Fraction(-1), Fraction(-2, 3), Fraction(5, 7), Fraction(3)):
+            tail = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(order)]
+            f = TruncatedSeries([head] + tail)
+            gap = f * (1 / head) - TruncatedSeries([1], order)
+            expected = log_one_plus_series(order).compose(gap)
+            assert _log_ratio(f.coefficients, order) == expected
+            cut = rng.randint(0, order)
+            assert _log_ratio(f.coefficients, cut) == expected.truncated(cut)
+
+
 def test_a_series_shorter_than_a_power_sum_still_raises_insufficient_order():
     # The tangent bundle of P^3 has p_2 = 4h^2, beyond an order-1 series.
     spec = RingSpec(("h",), (3,), RATIONALS)
@@ -194,11 +210,11 @@ def test_a_series_shorter_than_a_power_sum_still_raises_insufficient_order():
 def test_the_genus_log_stops_at_the_ring_degree(monkeypatch):
     orders = []
 
-    def recording(order):
+    def recording(coefficients, order):
         orders.append(order)
-        return log_one_plus_series(order)
+        return _log_ratio(coefficients, order)
 
-    monkeypatch.setattr(bundles, "log_one_plus_series", recording)
+    monkeypatch.setattr(bundles, "_log_ratio", recording)
     spec = _root_ring(2)  # total degree 4
     e = _bundle_from_roots(spec, (0, 1))
     multiplicative_extension(todd_series(12), e)

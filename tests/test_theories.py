@@ -805,6 +805,136 @@ def test_euler_sequence_correction_matches_the_relative_tangent_route():
     assert len(branches) == 4 and min(branches.values()) >= 20
 
 
+# The route `pushforward` took before the correction was folded into the
+# monomial table: the correction evaluated at x as a ring element, raised
+# to its power, multiplied into a, then pushed by the untwisted carrier.
+def _pushforward_by_ring_products(theory, f, a):
+    spec = ring_of(theory, f.source)
+    if a.spec != spec:
+        raise SpecMismatch(f"{a.spec} is not the source ring of {f}")
+    j, top = f.factor, f.source[f.factor]
+    twist = theory.twist.truncated(min(theory.twist.order, spec.total_degree))
+    x = spec.generator(j)
+    if not f.is_immersion:
+        a = eval_series(twist.inverse(), x) ** (top + 1) * twist[0] * a
+    elif f.target[j] > top:
+        a = eval_series(twist, x) ** (f.target[j] - top) * a
+    return pushforward(TheoryModel(theory.beta, RATIONALS), f, a)
+
+
+def _shapes_up_to_p4():
+    # Every projection and immersion (codimension 0..2) on P^0..P^4 and on
+    # P^a x P^b with a, b <= 2.
+    for dims in [(d,) for d in range(5)] + list(itertools.product(range(3), repeat=2)):
+        for j, d in enumerate(dims):
+            yield factor_projection(CHOW, dims, j)
+            for codim in range(3):
+                yield linear_immersion(CHOW, d, d + codim, within=dims, factor=j)
+
+
+def test_folded_correction_matches_the_ring_product_route():
+    # Value, or error class and message, on seeded twists of both betas
+    # with F(0) in {1, -1, 2/3, 3, 1/2} at orders 0..5.
+    rng = random.Random(1906)
+    shapes = list(_shapes_up_to_p4())
+    branches = Counter()
+    for beta, head, order in itertools.product(
+        (0, 1), (1, -1, Fraction(2, 3), 3, Fraction(1, 2)), range(6)
+    ):
+        tail = [acceptance._random_fraction(rng) for _ in range(order)]
+        tw = twist_theory(TheoryModel(beta, RATIONALS), TruncatedSeries([head] + tail))
+        for f in shapes:
+            a = acceptance._random_element(rng, ring_of(tw, f.source))
+            expected = _outcome(lambda: _pushforward_by_ring_products(tw, f, a))
+            assert _outcome(lambda: pushforward(tw, f, a)) == expected, (tw, f, a)
+            branches[beta, isinstance(expected, tuple)] += 1
+    assert len(branches) == 4 and min(branches.values()) >= 100
+
+
+@pytest.mark.parametrize("beta", [0, 1])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_a_short_twist_names_the_first_power_past_its_order(beta, order):
+    tw = twist_theory(TheoryModel(beta, RATIONALS), TruncatedSeries([2] + [1] * order))
+    top = order + 1  # the acted factor is P^(order + 1), so x^(order + 1) != 0
+    dims = (top, 1)
+    a = ring_of(tw, dims).one()
+    message = rf"^series of order {order} is too short: a\^0\*b\^{order + 1} != 0$"
+    shapes = (
+        factor_projection(tw, dims, 0),
+        linear_immersion(tw, top, top + 1, within=dims, factor=0),
+        linear_immersion(tw, top, top + 2, within=dims, factor=0),
+    )
+    for f in shapes:
+        with pytest.raises(InsufficientOrder, match=message):
+            pushforward(tw, f, a)
+        # A ring mismatch is named before the order is.
+        with pytest.raises(SpecMismatch, match="is not the source ring of"):
+            pushforward(tw, f, ring_of(tw, (top,)).one())
+    # An n = m immersion has no correction, so nothing is too short.
+    same = linear_immersion(tw, top, top, within=dims, factor=0)
+    assert pushforward(tw, same, a) == a
+    # Nor is a twist that reaches the acted factor's top, in a larger ring.
+    other = factor_projection(tw, (order, order + 3), 0)
+    one = ring_of(tw, other.source).one()
+    assert pushforward(tw, other, one) == _pushforward_by_ring_products(tw, other, one)
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_twisted_pushforward_makes_no_ring_product(monkeypatch):
+    assert not hasattr(theories, "eval_series")
+    rng = random.Random(7)
+    cases = [
+        (tw, f, acceptance._random_element(rng, ring_of(tw, f.source)))
+        for tw in (twist_theory(base, exp_deficit_series(8)) for base in (CHOW, K_THEORY))
+        for f in _shapes_up_to_p4()
+    ]
+    calls = [
+        _counting(monkeypatch, rings, "eval_series"),
+        _counting(monkeypatch, RingElement, "__pow__"),
+        _counting(monkeypatch, RingElement, "__mul__"),
+    ]
+    for tw, f, a in cases:
+        pushforward(tw, f, a)
+    assert calls == [[], [], []]
+
+
+def test_multiplicative_extension_never_composes(monkeypatch):
+    bundles = [relative_tangent(CHOW_Q, f) for f in _shapes_up_to_p4()]
+    calls = _counting(monkeypatch, TruncatedSeries, "compose")
+    for e in bundles:
+        multiplicative_extension(todd_series(6), e)
+        multiplicative_extension(exp_deficit_series(5), e)
+    assert calls == []
+
+
+# The beta = 1 logarithm as `_logarithm` read it before the log kernel:
+# -log(1 - g) = sum g^k / k, composed with the reverted conjugator g.
+def _k_logarithm_by_composition(theory):
+    inverse = theory.twist.times_t().reversion()
+    n = inverse.order
+    minus_log = TruncatedSeries([0] + [Fraction(1, k) for k in range(1, n + 1)])
+    return minus_log.compose(inverse)
+
+
+def test_k_logarithm_matches_the_composed_route():
+    rng = random.Random(1907)
+    for order in range(1, 31):
+        constant = rng.choice((1, -1, Fraction(2, 3), 3))
+        theory = twist_theory(K_THEORY, _seeded_twist(rng, constant, order, order % 3 != 0))
+        assert theory._logarithm[0] == _k_logarithm_by_composition(theory), order
+
+
 def test_filled_correction_cache_keeps_equality_hash_and_repr():
     series = exp_deficit_series(10)
     used = twist_theory(CHOW, series)
