@@ -21,8 +21,8 @@ the kernel through `_tables`, `_convolve`, `_reduced`, `_weighted_sum`,
 knowing the packing.  `_eval_bivariate` is the one evaluation kernel: the
 group law calls it, `eval_series` is its one-row case, and it is the one
 place in this module that raises InsufficientOrder.  Weighted degrees of
-packed keys are read through `_weights`, which decodes each key once per
-spec.
+packed keys are read through `_weights`, straight off the keys' slots (a
+capped ring's weight slot holds the degree itself), with no table kept.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import le, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -109,7 +109,7 @@ class RingSpec:
             rels += f"; weights {self.weights}, cap {self.cap}"
         return f"{ring}[{', '.join(self.variables)}]/({rels})"
 
-    @property
+    @cached_property
     def total_degree(self) -> int:
         """The cap if set, else the weighted degree of the top monomial."""
         return self.weight(self.bounds) if self.cap is None else self.cap
@@ -120,7 +120,7 @@ class RingSpec:
 
     def fits(self, exponents: Exponents) -> bool:
         """Whether a monomial survives: within its bounds and under the cap."""
-        within = all(0 <= e <= d for e, d in zip(exponents, self.bounds))
+        within = min(exponents, default=0) >= 0 and all(map(le, exponents, self.bounds))
         return within and (self.cap is None or self.weight(exponents) <= self.cap)
 
     def coerce(self, value: Scalar) -> Scalar:
@@ -142,7 +142,7 @@ class RingSpec:
         raise TypeError(f"cannot use {value!r} as a scalar")
 
     def check_exponents(self, exponents: Exponents) -> Exponents:
-        exponents = tuple(int(e) for e in exponents)
+        exponents = tuple(map(int, exponents))
         if len(exponents) != len(self.variables):
             raise OutOfBounds(
                 f"expected {len(self.variables)} exponents, got {len(exponents)}"
@@ -214,11 +214,6 @@ class RingSpec:
         else:
             multipliers = [1 << s for s in shifts]
         return tuple(multipliers), tuple(shifts), tuple(masks), offset, guard
-
-    @cached_property
-    def _degrees(self) -> dict[int, int]:
-        """Packed key -> weighted degree, filled by `_weights` as keys are met."""
-        return {}
 
 
 def _graded(monomials: Iterable[Exponents]) -> list[Exponents]:
@@ -465,13 +460,18 @@ def _exponents(spec: RingSpec, keys: Iterable[int]) -> list[Exponents]:
 
 
 def _weights(spec: RingSpec, keys: Iterable[int]) -> list[int]:
-    # Weighted degrees of packed keys, each key decoded once per spec.
-    known = spec._degrees
-    keys = list(keys)
-    missing = [key for key in keys if key not in known]
-    if missing:
-        known.update(zip(missing, map(spec.weight, _exponents(spec, missing))))
-    return [known[key] for key in keys]
+    # Weighted degrees of packed keys, read off the keys one slot at a time
+    # for all keys.  A capped ring's weight slot is the top one, below its
+    # guard bit, and holds the weighted degree itself.
+    _, shifts, masks, offset, guard = spec._packing
+    keys = [key - offset for key in keys]
+    if spec.cap is not None:
+        top = guard.bit_length() - 1 - spec.cap.bit_length()
+        return [key >> top for key in keys]
+    degrees = [0] * len(keys)
+    for s, m, w in zip(shifts, masks, spec.weights):
+        degrees = [d + (key >> s & m) * w for d, key in zip(degrees, keys)]
+    return degrees
 
 
 def _transposed(a: RingElement) -> RingElement:
@@ -652,13 +652,16 @@ def _eval_bivariate(
         if i * da + l * db <= top
     ]
     powers = [({unit: 1}, 1)]  # b^0 .. b^l while nonzero, up to the largest l needed
-    base, step = list(b._table.items()), b._denominator
-    for _ in range(known + 1 if past else max((l for _, l, _ in entries), default=0)):
-        last, denominator = powers[-1]
-        power = _reduced(_convolve(spec, last.items(), base), denominator * step)
-        if not power[0]:
-            break
-        powers.append(power)
+    needed = known + 1 if past else max((l for _, l, _ in entries), default=0)
+    if needed and b._table:
+        powers.append((b._table, b._denominator))  # b^1 is b's own reduced table
+        base, step = list(b._table.items()), b._denominator
+        for _ in range(needed - 1):
+            last, denominator = powers[-1]
+            power = _reduced(_convolve(spec, last.items(), base), denominator * step)
+            if not power[0]:
+                break
+            powers.append(power)
     rows: dict[int, list[tuple[int, Scalar]]] = {}  # the entries read: b^l != 0
     for i, l, c in entries:
         if l < len(powers):
@@ -677,11 +680,12 @@ def _eval_bivariate(
     result = spec.zero()
     for i in range(max(rows, default=0), -1, -1):
         summands = [(c, powers[l][0].items(), powers[l][1]) for l, c in rows.get(i, ())]
-        bound = top - (i + 1) * da
         terms = result._table
-        kept = [item for item, w in zip(terms.items(), _weights(spec, terms)) if w <= bound]
-        if kept:
-            product = _convolve(spec, kept, factor)
-            summands.append((1, product.items(), result._denominator * a._denominator))
+        if terms:  # R = 0 on the first step, so it adds no product
+            bound = top - (i + 1) * da
+            kept = [item for item, w in zip(terms.items(), _weights(spec, terms)) if w <= bound]
+            if kept:
+                product = _convolve(spec, kept, factor)
+                summands.append((1, product.items(), result._denominator * a._denominator))
         result = _weighted_sum(spec, summands)
     return result

@@ -10,10 +10,11 @@ The kernels run on integer numerators over one common denominator and
 build one `Fraction` per output coefficient: a product is one integer
 convolution, `_truncated_product`; the inverse keeps its coefficients
 over a running lcm, so each step is one integer dot product (O(n^2) in
-all); the logarithm log(f/f(0)) is the integral of f' times that
-inverse, one more product (`_log_ratio`); reversion projects
-baby-step/giant-step powers of t/f (Brent & Kung 1978) with about
-2*sqrt(n) products, O(n^2.5).
+all); any integer power of a unit, (f/f(0))^k, is one recurrence of
+the same cost (`_unit_power`); the logarithm log(f/f(0)) is the
+integral of f' times that inverse, one more product (`_log_ratio`);
+reversion projects baby-step/giant-step powers of t/f (Brent & Kung
+1978) with about 2*sqrt(n) products, O(n^2.5).
 """
 
 from __future__ import annotations
@@ -115,6 +116,32 @@ def _inverse(coefficients: Sequence[Fraction]) -> tuple[list[Fraction], list[int
         numerators.append(c.numerator * (e // d))
         out.append(c)
     return out, numerators, e
+
+
+def _unit_power(coefficients: Sequence[Fraction], k: int) -> tuple[list[int], int]:
+    """(f / f(0))^k for any integer k, as integer numerators over one denominator E.
+
+    J. C. P. Miller's recurrence: g = (f / f(0))^k has g_0 = 1 and
+    n f_0 g_n = sum_(i>=1) ((k + 1) i - n) f_i g_(n-i).  On f = q / D and
+    g_j = N_j / E, the sum is (k + 1) * sum i q_i N_(n-i) - n * sum q_i N_(n-i)
+    over E: two integer dot products and one `Fraction` per coefficient,
+    O(n^2) in all, whatever k is.  E grows as in `_inverse`.
+    """
+    q, _ = common_denominator(coefficients)
+    numerators, e = [1], 1
+    n, head, tail = len(q) - 1, q[0], q[:0:-1]  # tail = q_n, ..., q_1
+    weighted = [i * c for i, c in zip(range(n, 0, -1), tail)]  # n q_n, ..., 1 q_1
+    for m in range(1, n + 1):
+        s = n - m
+        total = (k + 1) * sum(map(mul, weighted[s:], numerators))
+        c = Fraction(total - m * sum(map(mul, tail[s:], numerators)), m * head * e)
+        d = c.denominator
+        if e % d:
+            grown = lcm(e, d)
+            numerators = [a * (grown // e) for a in numerators]
+            e = grown
+        numerators.append(c.numerator * (e // d))
+    return numerators, e
 
 
 def _log_ratio(coefficients: Sequence[Fraction], n: int) -> TruncatedSeries:

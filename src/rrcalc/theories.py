@@ -16,8 +16,9 @@ generator, a series in that generator alone, which is folded into the
 monomial table, and conjugates the group law by e(x) = x*F(x).  Every theory
 keeps its law as a coefficient table F[i, l], c1(L tensor L') = sum
 F[i, l] c1(L)^i c1(L')^l: the constant x + y - beta*xy untwisted, and
-exp_T(log_T u + log_T v) truncated at the conjugator's order once
-twisted, built once per theory from one reversion.  The universal
+exp_T(log_T u + log_T v) once twisted, built per theory through the
+largest degree a law has asked for, from one reversion of the
+conjugator's head through that degree.  The universal
 morphism t_i |-> 1 - e^(-h_i) identifies the multiplicative model with
 the additive one over the rationals; its graded leading term is
 exposed separately.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
 
@@ -47,10 +48,10 @@ from .rings import (
 )
 from .series import (
     TruncatedSeries,
-    _inverse,
     _log_ratio,
     _power,
     _powers,
+    _unit_power,
     common_denominator,
     exp_deficit_series,
 )
@@ -116,10 +117,11 @@ class TheoryModel:
         Arguments must be nilpotent classes in one ring.  F is the
         theory's coefficient table F[i, l] (`_law_table`), evaluated by
         `rings._eval_bivariate`: Horner in a over G_i(b) = sum_l F[i, l] b^l,
-        reading only the entries whose a^i * b^l can be nonzero.  A
-        twisted table is known for i + l <= N, the order of its conjugator
-        e(x) = x * twist(x).  Over the integers every entry read must be an
-        integer (IntegerDomain otherwise); after those reads,
+        reading only the entries whose a^i * b^l can be nonzero, so a
+        twisted table is built only through the largest i + l that the
+        ring lets survive.  It is known for i + l <= N, the order of its
+        conjugator e(x) = x * twist(x).  Over the integers every entry
+        read must be an integer (IntegerDomain otherwise); after those reads,
         InsufficientOrder names the first a^i * b^l != 0 with i + l = N + 1.
         """
         if a.spec != b.spec:
@@ -131,39 +133,44 @@ class TheoryModel:
         """The nonzero F[i, l] of the theory's law, at least for i + l <= degree.
 
         Untwisted: x + y - beta*x*y.  Twisted: built by `_law_coefficients`
-        from `_logarithm`, and built again only for a larger degree.
+        from `_logarithm(degree)`, so only the conjugator's head through
+        t^degree is reverted, and built again, reversion included, only for
+        a larger degree.  Degree 0 (a point ring) has no entry to build.
         """
         if self.twist is None:
             return _UNTWISTED_LAWS[self.beta]
         built = self.__dict__.get("_built_law")
         if built is None or built[0] < degree:
-            # Kept in the instance __dict__, as cached_property does, so it
-            # stays out of ==, hash and repr.
-            built = self.__dict__["_built_law"] = (
-                degree,
-                _law_coefficients(*self._logarithm, degree),
-            )
+            # Kept in the instance __dict__, so it stays out of ==, hash
+            # and repr of the frozen dataclass.
+            table = _law_coefficients(*self._logarithm(degree), degree) if degree else {}
+            built = self.__dict__["_built_law"] = (degree, table)
         return built[1]
 
-    @cached_property
-    def _logarithm(self) -> tuple[TruncatedSeries, TruncatedSeries]:
-        """(log_T, exp_T) of the twisted law F(u, v) = exp_T(log_T u + log_T v).
+    def _logarithm(self, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+        """(log_T, exp_T) of the twisted law F(u, v) = exp_T(log_T u + log_T v), at `order`.
 
-        Both have the conjugator's order N.  The law is e(g(u) +_beta g(v))
-        with e(x) = x * twist(x) and g its reversion, and x +_1 y =
-        x + y - xy has logarithm -log(1 - x) and exponential 1 - e^(-s); so
-        log_T = g at beta 0 and -log(1 - g) at beta 1, read as
-        `series._log_ratio` of 1 - g, exp_T = e or e(1 - e^(-s)).
+        `order` runs from 1 to the conjugator's order N.  The law is
+        e(g(u) +_beta g(v)) with e(x) = x * twist(x) and g its reversion,
+        and x +_1 y = x + y - xy has logarithm -log(1 - x) and exponential
+        1 - e^(-s); so log_T = g at beta 0 and -log(1 - g) at beta 1, read
+        as `series._log_ratio` of 1 - g, exp_T = e or e(1 - e^(-s)).  The
+        latter is sum_r e_r * (1 - e^(-s))^r, the rows of
+        `_character_images(order)`, so no series is composed.
         """
-        # cached_property writes the instance __dict__ directly, so it works
-        # on the frozen dataclass and stays out of ==, hash and repr.
-        conjugator = self.twist.times_t()
+        conjugator = self.twist.times_t().truncated(order)
         inverse = conjugator.reversion()
         if not self.beta:
             return inverse, conjugator
-        n = conjugator.order
         complement = [Fraction(1)] + [-c for c in inverse.coefficients[1:]]  # 1 - g
-        return -_log_ratio(complement, n), conjugator.compose(exp_deficit_series(n - 1).times_t())
+        rows, denominator = _character_images(order)
+        e, scale = common_denominator(conjugator.coefficients)
+        exponential = [0] * (order + 1)
+        for c, row in zip(e, rows):
+            for f, w in row:
+                exponential[f] += c * w
+        exponential = [Fraction(c, scale * denominator) for c in exponential]
+        return -_log_ratio(complement, order), TruncatedSeries(exponential)
 
     def group_law(self, order: int) -> RingElement:
         """F(u, v) in scalars[u, v]/(u^(order+1), v^(order+1)): `law` at u and v.
@@ -389,10 +396,11 @@ def pushforward(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement
 def _euler_correction(twist: TruncatedSeries, f: Morphism) -> tuple[list[int], int]:
     """(c, D): the twisted correction c / D of f, at x^0 .. x^top of the acted generator.
 
-    F(x)^(n - m) for an immersion, (1/F)(x)^(d + 1) * F(0) for collapsing
-    P^d, on integer rows cut after x^top: a square-and-multiply power
-    (`series._power`), of `_inverse` for a collapse.  Only F through x^top
-    is read, so F must reach it.
+    F(x)^(n - m) for an immersion, a square-and-multiply power
+    (`series._power`); (1/F)(x)^(d + 1) * F(0) for collapsing P^d, which
+    is F(0)^(-d) * (F / F(0))^(-(d + 1)), one recurrence (`series._unit_power`).
+    Both are integer rows cut after x^top.  Only F through x^top is read,
+    so F must reach it.
     """
     top = f.source[f.factor]
     if twist.order < top:
@@ -401,9 +409,9 @@ def _euler_correction(twist: TruncatedSeries, f: Morphism) -> tuple[list[int], i
     head = twist.coefficients[: top + 1]
     if f.is_immersion:
         return _power(common_denominator(head), f.target[f.factor] - top, top)
-    _, inverse, e = _inverse(head)
-    c, d = _power((inverse, e), top + 1, top)
-    return [v * head[0].numerator for v in c], d * head[0].denominator
+    c, d = _unit_power(head, -(top + 1))
+    scale = head[0] ** -top  # a Fraction, so its denominator is positive
+    return [v * scale.numerator for v in c], d * scale.denominator
 
 
 def _folded(images: Images, correction: list[int]) -> Images:
@@ -431,7 +439,8 @@ def _character_images(d: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], 
     truncated at order d, so the table costs d integer products
     (`series._powers`), once per d, and is kept as the nonzero numerators
     over D, the lcm of the rows' denominators.  Row r has no entry with
-    f < r.
+    f < r.  The universal morphism reads the rows as a matrix, and a
+    beta = 1 twisted law as the powers of 1 - e^(-s) in its exp_T.
     """
     image = exp_deficit_series(d).times_t().truncated(d)
     rows = _powers(common_denominator(image.coefficients), d, d)

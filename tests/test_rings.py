@@ -227,6 +227,21 @@ def test_eval_series_insufficient_order_is_permissive():
     assert eval_series(TruncatedSeries([1, 1], order=1), x) == spec.one() + x
 
 
+def test_eval_series_multiplies_only_past_the_first_power(monkeypatch):
+    x = RingSpec(("x",), (3,), RATIONALS).generator(0)
+    calls = []
+    original = rings._convolve
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rings, "_convolve", counting)
+    value = eval_series(exponential_series(3), x)
+    assert len(calls) == 2  # x^2 and x^3: x^1 is x's own table
+    assert value == 1 + x + Fraction(1, 2) * x**2 + Fraction(1, 6) * x**3
+
+
 def _eval_series_by_products(series, argument):
     """The evaluation loop the packed kernel replaced: whole-element products and sums."""
     if argument.constant_term != 0:
@@ -378,6 +393,24 @@ def test_point_ring_has_scalars_only():
 
 
 # ---------------------------------------------------------------- weights
+
+
+def test_weights_read_off_the_keys_match_the_weighted_degree():
+    rng = random.Random(2001)
+    specs = [
+        RingSpec(("x", "y", "z"), (3, 0, 6), RATIONALS),  # uncapped
+        RingSpec(("x", "y"), (4, 2), INTEGERS, (2, 3)),  # weighted
+        RingSpec(("c1", "c2", "c3"), (6, 3, 2), RATIONALS, (1, 2, 3), 6),  # capped
+        _symbol_spec(),
+        RingSpec((), (), INTEGERS),  # zero variables
+    ]
+    for spec in specs:
+        monomials = list(spec.monomials())
+        for _ in range(20):
+            chosen = rng.sample(monomials, rng.randint(0, len(monomials)))
+            keys = [next(iter(spec.element({e: 1})._table)) for e in chosen]
+            assert rings._weights(spec, keys) == [spec.weight(e) for e in chosen], spec
+
 
 
 def _symbol_spec() -> RingSpec:

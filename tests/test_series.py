@@ -15,6 +15,7 @@ from rrcalc.series import (
     log_one_plus_series,
     todd_series,
 )
+from rrcalc.series import _unit_power
 
 
 def test_order_and_padding():
@@ -129,6 +130,28 @@ def test_inverse_matches_the_fraction_loop_on_seeded_series():
 def test_inverse_of_the_deficit_matches_the_fraction_loop(order):
     deficit = exp_deficit_series(order)
     assert deficit.inverse().coefficients == _inverse_by_fractions(deficit).coefficients
+
+
+def _unit_power_by_products(series, k):
+    """(f / f(0))^k by repeated whole-series products, of 1/f's for k < 0."""
+    unit = series * (1 / series.coefficients[0])
+    factor = unit if k >= 0 else unit.inverse()
+    result = TruncatedSeries([1], series.order)
+    for _ in range(abs(k)):
+        result = result * factor
+    return result
+
+
+def test_unit_power_matches_repeated_products_on_seeded_series():
+    # Constants other than 1, negatives included; orders 0..20, k in -12..12.
+    rng = random.Random(1964)
+    constants = (-1, Fraction(3, 7), -2, Fraction(-5, 12), 3)
+    for case in range(1200):
+        series = _random_series(rng, case % 21, constants[case % len(constants)])
+        k = rng.randint(-12, 12)
+        numerators, denominator = _unit_power(series.coefficients, k)
+        value = TruncatedSeries([Fraction(c, denominator) for c in numerators])
+        assert value == _unit_power_by_products(series, k), (case, k)
 
 
 def test_compose_hand_oracle():

@@ -46,7 +46,7 @@ from rrcalc import (
     twist_theory,
     universal_morphism,
 )
-from rrcalc import acceptance, rings, theories
+from rrcalc import acceptance, rings, series, theories
 from rrcalc.rings import INTEGERS, RATIONALS
 
 
@@ -123,14 +123,23 @@ def reversion_calls(monkeypatch):
     return calls
 
 
-def test_twisted_law_reverts_its_conjugator_once(reversion_calls):
+def test_twisted_law_reverts_once_per_built_degree(reversion_calls):
     tw = twist_theory(CHOW, exp_deficit_series(10))
+    conjugator = tw.twist.times_t()
     assert reversion_calls == []  # built lazily, on the first law
-    tw.group_law(4)
+    x = ring_of(tw, (0,)).zero()
+    assert tw.law(x, x) == x
+    assert reversion_calls == []  # a point ring reads no entry
+    tw.group_law(4)  # reads the table through degree 8
     a, b = ring_of(tw, (2, 3)).generators()
     assert tw.law(a, b) == tw.law(b, a)
     assert tw.law(a + b, a * b) == tw.law(a * b, a + b)
-    assert reversion_calls == [tw.twist.times_t()]
+    assert reversion_calls == [conjugator.truncated(8)]
+    # A larger degree builds the table again, once.
+    c, d = ring_of(tw, (5, 5)).generators()
+    assert tw.law(c, d) == tw.law(d, c)
+    tw.group_law(3)
+    assert reversion_calls == [conjugator.truncated(8), conjugator.truncated(10)]
 
 
 @pytest.mark.parametrize("theory", [CHOW, K_THEORY], ids=["chow", "ktheory"])
@@ -361,6 +370,19 @@ def test_twisted_law_never_evaluates_a_series(monkeypatch):
         a, b = ring_of(theory, (2, 3)).generators()
         theory.law(a + b, a * b - b)
     assert calls == []
+
+
+def test_a_twisted_law_multiplies_only_past_the_first_powers(monkeypatch):
+    theory = twist_theory(CHOW, exp_deficit_series(6))
+    u, v = RingSpec(("u", "v"), (3, 3), RATIONALS).generators()
+    theory._law_table(6)  # built apart: the counts below are the evaluation's
+    convolve = _counting(monkeypatch, rings, "_convolve")
+    weights = _counting(monkeypatch, rings, "_weights")
+    value = theory.law(u, v)
+    # b^1 is v's own table and the first Horner step has R = 0, so the one
+    # product is R * u; degrees are read for u, v and that R.
+    assert (len(convolve), len(weights)) == (1, 3)
+    assert value == u + v - u * v
 
 
 def test_filled_conjugation_cache_keeps_equality_hash_and_repr():
@@ -832,6 +854,27 @@ def _shapes_up_to_p4():
                 yield linear_immersion(CHOW, d, d + codim, within=dims, factor=j)
 
 
+# The collapse correction (1/F)^(d + 1) * F(0) as `_euler_correction` built it
+# before the power recurrence: the integer inverse, squared and multiplied.
+def _collapse_correction_by_squaring(twist, d):
+    head = twist.coefficients[: d + 1]
+    _, inverse, e = series._inverse(head)
+    c, denominator = series._power((inverse, e), d + 1, d)
+    return [Fraction(v * head[0].numerator, denominator * head[0].denominator) for v in c]
+
+
+def test_collapse_correction_matches_the_squared_inverse():
+    rng = random.Random(1965)
+    for case in range(300):
+        d = case % 25
+        constant = rng.choice((1, -1, Fraction(2, 3), -3, Fraction(-1, 2)))
+        twist = _seeded_twist(rng, constant, d + rng.randint(0, 2), case % 2 == 0)
+        c, denominator = theories._euler_correction(twist, point_projection(CHOW, d))
+        assert denominator > 0
+        expected = _collapse_correction_by_squaring(twist, d)
+        assert [Fraction(v, denominator) for v in c] == expected, case
+
+
 def test_folded_correction_matches_the_ring_product_route():
     # Value, or error class and message, on seeded twists of both betas
     # with F(0) in {1, -1, 2/3, 3, 1/2} at orders 0..5.
@@ -927,25 +970,42 @@ def _k_logarithm_by_composition(theory):
     return minus_log.compose(inverse)
 
 
+# Its exponential 1 - e^(-s) composed into the conjugator, as `_logarithm`
+# read it before the character rows.
+def _k_exponential_by_composition(theory):
+    conjugator = theory.twist.times_t()
+    return conjugator.compose(exp_deficit_series(conjugator.order - 1).times_t())
+
+
 def test_k_logarithm_matches_the_composed_route():
     rng = random.Random(1907)
     for order in range(1, 31):
         constant = rng.choice((1, -1, Fraction(2, 3), 3))
         theory = twist_theory(K_THEORY, _seeded_twist(rng, constant, order, order % 3 != 0))
-        assert theory._logarithm[0] == _k_logarithm_by_composition(theory), order
+        n = order + 1  # the conjugator's order
+        logarithm = _k_logarithm_by_composition(theory)
+        exponential = _k_exponential_by_composition(theory)
+        assert theory._logarithm(n) == (logarithm, exponential), order
+        # Cut at a lower order, both halves are the heads of the full ones.
+        cut = rng.randint(1, n)
+        assert theory._logarithm(cut) == (logarithm.truncated(cut), exponential.truncated(cut))
 
 
-def test_filled_correction_cache_keeps_equality_hash_and_repr():
+def test_a_used_twisted_theory_keeps_equality_hash_and_repr():
     series = exp_deficit_series(10)
     used = twist_theory(CHOW, series)
     f = point_projection(used, 3)
     x = ring_of(used, (3,)).generator(0)
     pushforward(used, f, x)
+    used.group_law(2)
+    used.group_law(5)  # the law table built at degrees 4 and 10
     fresh = twist_theory(CHOW, series)
     assert used == fresh
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
     assert pushforward(fresh, f, x) == pushforward(used, f, x)
+    assert fresh.group_law(5) == used.group_law(5)
+    assert fresh.group_law(2) == used.group_law(2)
 
 
 @pytest.mark.parametrize(
