@@ -70,8 +70,9 @@ MAX_TODD_ORDER = 500
 # Most `ch --chern` symbols.  Symbols past --order get no generator, so 48
 # symbols cost what 32 do at `--order 32` (0.8-1.05 s).
 MAX_CH_SYMBOLS = 48
-# Largest |--twist| of `chi pn` and `verify grr`: adds under 0.05 s at the
-# largest --dim; twists of 10^100 take 0.3 s on P^20 and 10^1000 over 90 s.
+# Largest |--twist| of `chi pn` and `verify grr`: adds under 0.01 s at the
+# largest --dim.  [O(m)] is one binomial row, so in process a twist of 10^100
+# takes 2 ms on P^20 and 10^1000 takes 6 ms there, 0.18 s on P^80.
 MAX_TWIST = 10**6
 # Highest --dim per command, with its time at the bound and one step up, for
 # one process including about 0.15 s of interpreter start and imports:

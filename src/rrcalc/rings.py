@@ -622,7 +622,9 @@ def _eval_bivariate(
     degrees of a and b, so it is zero above the ring's top degree.  Hence
     `coefficients(degree)`, F's nonzero entries for i + l <= degree at
     least, is asked with the largest i + l that can survive, and an entry
-    is read only when it passes this test and b^l != 0.  The table is
+    is read only when it passes this test and b^l != 0.  Over Z an entry
+    read must be an integer (IntegerDomain) unless a^i * b^l = 0, when it
+    is dropped; a^i is built only for such an entry.  The table is
     exact through i + l <= `known` (None: at every degree); asked past
     it, the kernel reads the entries up to `known` and then raises
     InsufficientOrder at the first a^i * b^l != 0 with i + l = known + 1.
@@ -662,11 +664,20 @@ def _eval_bivariate(
             if not power[0]:
                 break
             powers.append(power)
+    factor = list(a._table.items())
     rows: dict[int, list[tuple[int, Scalar]]] = {}  # the entries read: b^l != 0
+    a_powers = [{unit: 1}]  # a^i, unreduced, built only for an entry Z refuses
     for i, l, c in entries:
         if l < len(powers):
-            rows.setdefault(i, []).append((l, spec.coerce(c)))
-    factor = list(a._table.items())
+            try:
+                c = spec.coerce(c)
+            except IntegerDomain:  # harmless unless a^i * b^l != 0
+                while len(a_powers) <= i:
+                    a_powers.append(_convolve(spec, a_powers[-1].items(), factor))
+                if any(_convolve(spec, a_powers[i].items(), list(powers[l][0].items())).values()):
+                    raise
+                continue
+            rows.setdefault(i, []).append((l, c))
     if past:
         n, power = known + 1, {unit: 1}  # a^i, unreduced: only its zeros matter
         for i in range(n + 1):

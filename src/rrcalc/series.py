@@ -8,13 +8,13 @@ round-trips, and no coefficient is ever rounded.
 
 The kernels run on integer numerators over one common denominator and
 build one `Fraction` per output coefficient: a product is one integer
-convolution, `_truncated_product`; the inverse keeps its coefficients
-over a running lcm, so each step is one integer dot product (O(n^2) in
-all); any integer power of a unit, (f/f(0))^k, is one recurrence of
-the same cost (`_unit_power`); the logarithm log(f/f(0)) is the
-integral of f' times that inverse, one more product (`_log_ratio`);
-reversion projects baby-step/giant-step powers of t/f (Brent & Kung
-1978) with about 2*sqrt(n) products, O(n^2.5).
+convolution, `_truncated_product`; every power f^k of a unit f, for any
+integer k, is one recurrence over a running lcm, `_unit_power`, O(n^2)
+whatever k is, and the inverse is its k = -1 case; the logarithm
+log(f/f(0)) is the integral of f' times that inverse, one more product
+(`_log_ratio`); reversion projects baby-step/giant-step powers of t/f,
+read off 1/(f/t) (Brent & Kung 1978), with about 2*sqrt(n) products,
+O(n^2.5).
 """
 
 from __future__ import annotations
@@ -81,33 +81,31 @@ def _powers(base, n: int, count: int) -> list[tuple[list[int], int]]:
     return powers
 
 
-def _power(base, k: int, n: int) -> tuple[list[int], int]:
-    """base^k as a `_reduced_product` row cut after t^n, by square-and-multiply."""
-    result = ([1] + [0] * n, 1)
-    while k:
-        if k & 1:
-            result = _reduced_product(result, base, n)
-        k >>= 1
-        if k:
-            base = _reduced_product(base, base, n)
-    return result
+def _unit_power(
+    coefficients: Sequence[Fraction], k: int
+) -> tuple[list[Fraction], list[int], int]:
+    """f^k for any integer k, f(0) != 0: its coefficients, and their numerators over one E.
 
-
-def _inverse(coefficients: Sequence[Fraction]) -> tuple[list[Fraction], list[int], int]:
-    """The coefficients of 1/f, and their integer numerators over one denominator E.
-
-    With f = q / D on integer numerators q, and the coefficients so far
-    b_j = N_j / E, the next one is b_k = -(sum_(i>=1) q_i N_(k-i)) / (q_0 E):
-    one integer dot product and one `Fraction`.  E is the lcm of the
-    reduced denominators so far; it grows, and the stored N_j with it,
-    only when b_k's denominator does not divide it.
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): g = f^k has
+    g_0 = f_0^k and n f_0 g_n = sum_(i>=1) ((k + 1) i - n) f_i g_(n-i).  On
+    f = q / D and g_j = N_j / E, the sum is
+    (k + 1) * sum i q_i N_(n-i) - n * sum q_i N_(n-i) over E: two integer dot
+    products, one at k = -1 (the inverse), and one `Fraction` per
+    coefficient, O(n^2) in all, whatever k is.  E is the lcm of the reduced
+    denominators so far; it grows, and the stored N_j with it, only when
+    g_n's denominator does not divide it.
     """
     q, _ = common_denominator(coefficients)
-    first = 1 / coefficients[0]
+    first = coefficients[0] ** k
     out, numerators, e = [first], [first.numerator], first.denominator
     n, head, tail = len(q) - 1, q[0], q[:0:-1]  # tail = q_n, ..., q_1
-    for k in range(1, n + 1):
-        c = Fraction(-sum(map(mul, tail[n - k :], numerators)), head * e)
+    weighted = [i * c for i, c in zip(range(n, 0, -1), tail)]  # n q_n, ..., 1 q_1
+    for m in range(1, n + 1):
+        s = n - m
+        total = -m * sum(map(mul, tail[s:], numerators))
+        if k != -1:  # the (k + 1)-weighted sum is 0 for the inverse
+            total += (k + 1) * sum(map(mul, weighted[s:], numerators))
+        c = Fraction(total, m * head * e)
         d = c.denominator
         if e % d:
             grown = lcm(e, d)
@@ -118,43 +116,17 @@ def _inverse(coefficients: Sequence[Fraction]) -> tuple[list[Fraction], list[int
     return out, numerators, e
 
 
-def _unit_power(coefficients: Sequence[Fraction], k: int) -> tuple[list[int], int]:
-    """(f / f(0))^k for any integer k, as integer numerators over one denominator E.
-
-    J. C. P. Miller's recurrence: g = (f / f(0))^k has g_0 = 1 and
-    n f_0 g_n = sum_(i>=1) ((k + 1) i - n) f_i g_(n-i).  On f = q / D and
-    g_j = N_j / E, the sum is (k + 1) * sum i q_i N_(n-i) - n * sum q_i N_(n-i)
-    over E: two integer dot products and one `Fraction` per coefficient,
-    O(n^2) in all, whatever k is.  E grows as in `_inverse`.
-    """
-    q, _ = common_denominator(coefficients)
-    numerators, e = [1], 1
-    n, head, tail = len(q) - 1, q[0], q[:0:-1]  # tail = q_n, ..., q_1
-    weighted = [i * c for i, c in zip(range(n, 0, -1), tail)]  # n q_n, ..., 1 q_1
-    for m in range(1, n + 1):
-        s = n - m
-        total = (k + 1) * sum(map(mul, weighted[s:], numerators))
-        c = Fraction(total - m * sum(map(mul, tail[s:], numerators)), m * head * e)
-        d = c.denominator
-        if e % d:
-            grown = lcm(e, d)
-            numerators = [a * (grown // e) for a in numerators]
-            e = grown
-        numerators.append(c.numerator * (e // d))
-    return numerators, e
-
-
 def _log_ratio(coefficients: Sequence[Fraction], n: int) -> TruncatedSeries:
     """log(f / f(0)) through t^n, as the integral of f'/f; f(0) must be nonzero.
 
-    With f = q / D on integer numerators and 1/f = N / E (`_inverse`),
+    With f = q / D on integer numerators and 1/f = N / E (`_unit_power`),
     f'/f is the one truncated product q' * N over D * E, and t^k of the
     logarithm is its t^(k-1) coefficient over k: O(n^2) integer
     multiply-adds and one `Fraction` per coefficient.
     """
     head = coefficients[: n + 1]
     q, d = common_denominator(head)
-    _, inverse, e = _inverse(head)
+    _, inverse, e = _unit_power(head, -1)
     derivative = [k * c for k, c in enumerate(q)][1:]
     quotient = _truncated_product(derivative, inverse, n - 1)
     return TruncatedSeries([0] + [Fraction(c, k * d * e) for k, c in enumerate(quotient, 1)])
@@ -266,12 +238,13 @@ class TruncatedSeries:
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse: self * result = 1 up to the order.
 
-        On integer numerators over a running lcm (`_inverse`): O(n^2)
-        integer multiply-adds and one `Fraction` per coefficient.
+        The k = -1 power recurrence (`_unit_power`), on integer numerators
+        over a running lcm: O(n^2) integer multiply-adds and one `Fraction`
+        per coefficient.
         """
         if self.coefficients[0] == 0:
             raise ZeroConstantTerm("cannot invert a series with zero constant term")
-        return TruncatedSeries(_inverse(self.coefficients)[0])
+        return TruncatedSeries(_unit_power(self.coefficients, -1)[0])
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(t)), requiring inner to have zero constant term."""
@@ -305,19 +278,20 @@ class TruncatedSeries:
         """Compositional inverse g with self(g(t)) = g(self(t)) = t.
 
         Lagrange inversion, [t^k] g = (1/k) * [t^(k-1)] q^k with q = t/self,
-        read from the numerators of `_inverse(self/t)`.  With m = isqrt(n)
-        and k = s*m + r, 0 <= r < m, that coefficient is one dot product
-        of a baby power q^r and a giant power q^(s*m): about m + n/m
-        truncated products at order n, O(n^2.5) in all.  Every power is
-        integer numerators over one denominator, divided by their content,
-        with one Fraction per output coefficient.
+        whose numerators are the power recurrence's 1/(self/t)
+        (`_unit_power` at k = -1).  With m = isqrt(n) and k = s*m + r,
+        0 <= r < m, that coefficient is one dot product of a baby power q^r
+        and a giant power q^(s*m): about m + n/m truncated products at
+        order n, O(n^2.5) in all.  Every power is integer numerators over
+        one denominator, divided by their content, with one Fraction per
+        output coefficient.
         """
         if self.coefficients[0] != 0:
             raise NotReversible("reversion needs zero constant term")
         if self.order < 1 or self.coefficients[1] == 0:
             raise NotReversible("reversion needs an invertible linear coefficient")
         n = self.order
-        _, q, e = _inverse(self.coefficients[1:])
+        _, q, e = _unit_power(self.coefficients[1:], -1)
         m = isqrt(n)
         baby = _powers((q, e), n - 1, m)
         giant = baby[0]
@@ -350,11 +324,4 @@ def exp_deficit_series(order: int) -> TruncatedSeries:
 def todd_series(order: int) -> TruncatedSeries:
     """t / (1 - e^-t) = 1 + t/2 + t^2/12 - t^4/720 + ..."""
     return exp_deficit_series(order).inverse()
-
-
-def log_one_plus_series(order: int) -> TruncatedSeries:
-    """log(1 + t) = sum (-1)^(n+1) t^n / n."""
-    coeffs = [Fraction(0)]
-    coeffs.extend(Fraction((-1) ** (n + 1), n) for n in range(1, order + 1))
-    return TruncatedSeries(coeffs)
 

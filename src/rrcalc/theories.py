@@ -49,7 +49,6 @@ from .rings import (
 from .series import (
     TruncatedSeries,
     _log_ratio,
-    _power,
     _powers,
     _unit_power,
     common_denominator,
@@ -252,12 +251,17 @@ def _ring(symbol: str, dims: Dims, scalars: str) -> RingSpec:
 
 
 def k_line_class(n: int, m: int) -> RingElement:
-    """[O(m)] in the K-theory ring of P^n: (1 - t)^(-m)."""
-    spec = ring_of(K_THEORY, (n,))
-    dual_hyperplane = spec.one() - spec.generator(0)  # [O(-1)]
-    if m >= 0:
-        return dual_hyperplane.inverse() ** m
-    return dual_hyperplane ** (-m)
+    """[O(m)] in the K-theory ring of P^n: (1 - t)^(-m), t = 1 - [O(-1)].
+
+    One binomial row for either sign of m: t^r has the coefficient
+    c_r = binom(m + r - 1, r), and c_(r+1) = c_r * (m + r) / (r + 1) is exact.
+    """
+    terms, c = {}, 1
+    for r in range(n + 1):
+        if c:
+            terms[(r,)] = c
+        c = c * (m + r) // (r + 1)
+    return ring_of(K_THEORY, (n,)).element(terms)
 
 
 def tangent_class(theory: TheoryModel, n: int) -> BundleClass:
@@ -371,7 +375,8 @@ def pushforward(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement
       the Euler sequence T_f is -(n - m) copies of O(1) on the acted
       factor for an immersion, and d + 1 copies less a trivial line for
       collapsing P^d, so the correction (1/F)_x(T_f) is a series c in the
-      acted generator x alone: F(x)^(n - m), or (1/F)(x)^(d + 1) * F(0).
+      acted generator x alone: F(x)^(n - m), or (1/F)(x)^(d + 1) * F(0),
+      each one power F^k (`series._unit_power`) at k = n - m or -(d + 1).
       Multiplying by c and pushing are both maps on x's exponent, so c is
       folded into the table (`_folded`) and `a` is substituted once.  An
       F of order N < top, where x^(N + 1) != 0, raises InsufficientOrder,
@@ -396,11 +401,10 @@ def pushforward(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement
 def _euler_correction(twist: TruncatedSeries, f: Morphism) -> tuple[list[int], int]:
     """(c, D): the twisted correction c / D of f, at x^0 .. x^top of the acted generator.
 
-    F(x)^(n - m) for an immersion, a square-and-multiply power
-    (`series._power`); (1/F)(x)^(d + 1) * F(0) for collapsing P^d, which
-    is F(0)^(-d) * (F / F(0))^(-(d + 1)), one recurrence (`series._unit_power`).
-    Both are integer rows cut after x^top.  Only F through x^top is read,
-    so F must reach it.
+    F(x)^(n - m) for an immersion of P^m in P^n, and (1/F)(x)^(d + 1) * F(0)
+    for collapsing P^d: one power recurrence (`series._unit_power`) at
+    k = n - m or k = -(d + 1), the latter times F(0).  Both are integer
+    rows cut after x^top.  Only F through x^top is read, so F must reach it.
     """
     top = f.source[f.factor]
     if twist.order < top:
@@ -408,10 +412,9 @@ def _euler_correction(twist: TruncatedSeries, f: Morphism) -> tuple[list[int], i
         raise InsufficientOrder(f"series of order {n} is too short: a^0*b^{n + 1} != 0")
     head = twist.coefficients[: top + 1]
     if f.is_immersion:
-        return _power(common_denominator(head), f.target[f.factor] - top, top)
-    c, d = _unit_power(head, -(top + 1))
-    scale = head[0] ** -top  # a Fraction, so its denominator is positive
-    return [v * scale.numerator for v in c], d * scale.denominator
+        return _unit_power(head, f.target[f.factor] - top)[1:]
+    _, c, d = _unit_power(head, -(top + 1))
+    return [v * head[0].numerator for v in c], d * head[0].denominator
 
 
 def _folded(images: Images, correction: list[int]) -> Images:

@@ -12,6 +12,8 @@ from math import factorial
 
 import pytest
 
+from test_series import log_one_plus_series
+
 from rrcalc import bundles
 from rrcalc.bundles import (
     BundleClass,
@@ -40,7 +42,6 @@ from rrcalc.series import (
     TruncatedSeries,
     _log_ratio,
     exponential_series,
-    log_one_plus_series,
     todd_series,
 )
 

@@ -1,9 +1,11 @@
-"""Every imported name is read somewhere in its module.
+"""Every imported name, and every private library helper, is read somewhere.
 
 An AST scan of the library modules (except `__init__.py`, whose imports
 are the package's re-exports) and of the test modules.  A name counts as
 read when it is loaded anywhere, including as the base of an attribute
-access, or named inside a quoted annotation.
+access, or named inside a quoted annotation.  A second scan asks that
+every module-level private function of the library is read by library
+code outside its own definition, so no helper outlives its callers.
 """
 
 import ast
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "rrcalc").glob("*.py"))
 MODULES = sorted(
     path
     for path in [*(ROOT / "src" / "rrcalc").glob("*.py"), *(ROOT / "tests").glob("*.py")]
@@ -54,3 +57,38 @@ def test_the_scan_finds_an_unused_import():
     source = "import os\nfrom math import gcd, lcm\nfrom typing import Mapping\n"
     source += "def f(x: 'Mapping') -> int:\n    return gcd(x, 2)\n"
     assert unused_imports(source) == ["line 1: os", "line 2: lcm"]
+
+
+def unread_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level `_name` functions that no module reads outside their own body."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            owner = None
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = statement.name
+                if owner.startswith("_"):
+                    defined.append((module, owner))
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    read.add(name)
+    return [f"{module}: {name}" for module, name in defined if name not in read]
+
+
+def test_every_private_function_has_a_library_reader():
+    sources = {path.name: path.read_text() for path in LIBRARY}
+    assert unread_private_functions(sources) == []
+
+
+def test_the_scan_finds_an_unread_private_function():
+    sources = {
+        "a.py": "def _used():\n    return 1\ndef _self_only(n):\n    return _self_only(n - 1)\n",
+        "b.py": "from a import _used\ndef _orphan():\n    pass\nvalue = _used()\n",
+    }
+    assert unread_private_functions(sources) == ["a.py: _self_only", "b.py: _orphan"]

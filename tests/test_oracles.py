@@ -29,13 +29,14 @@ from sympy.polys.polyfuncs import symmetrize
 from sympy.polys.ring_series import rs_series_reversion
 from sympy.polys.rings import ring
 
+from test_series import log_one_plus_series
+
 from rrcalc.bundles import character_rows, todd_rows
 from rrcalc.rings import RATIONALS, RingSpec, eval_series
 from rrcalc.series import (
     TruncatedSeries,
     exp_deficit_series,
     exponential_series,
-    log_one_plus_series,
     todd_series,
 )
 from rrcalc.theories import CHOW, K_THEORY, twist_theory

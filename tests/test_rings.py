@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from test_series import log_one_plus_series
+
 from rrcalc import rings
 from rrcalc.rings import (
     INTEGERS,
@@ -26,7 +28,7 @@ from rrcalc.rings import (
     _weighted_sum,
     eval_series,
 )
-from rrcalc.series import TruncatedSeries, exponential_series, log_one_plus_series
+from rrcalc.series import TruncatedSeries, exponential_series
 
 
 def test_spec_rendering():

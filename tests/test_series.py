@@ -12,10 +12,16 @@ from rrcalc.series import (
     ZeroConstantTerm,
     exp_deficit_series,
     exponential_series,
-    log_one_plus_series,
     todd_series,
 )
 from rrcalc.series import _unit_power
+
+
+def log_one_plus_series(order: int) -> TruncatedSeries:
+    """log(1 + t) = sum (-1)^(n+1) t^n / n, the oracle of the genus logarithms."""
+    coeffs = [Fraction(0)]
+    coeffs.extend(Fraction((-1) ** (n + 1), n) for n in range(1, order + 1))
+    return TruncatedSeries(coeffs)
 
 
 def test_order_and_padding():
@@ -133,9 +139,8 @@ def test_inverse_of_the_deficit_matches_the_fraction_loop(order):
 
 
 def _unit_power_by_products(series, k):
-    """(f / f(0))^k by repeated whole-series products, of 1/f's for k < 0."""
-    unit = series * (1 / series.coefficients[0])
-    factor = unit if k >= 0 else unit.inverse()
+    """f^k by repeated whole-series products, of the Fraction-loop 1/f for k < 0."""
+    factor = series if k >= 0 else _inverse_by_fractions(series)
     result = TruncatedSeries([1], series.order)
     for _ in range(abs(k)):
         result = result * factor
@@ -149,9 +154,9 @@ def test_unit_power_matches_repeated_products_on_seeded_series():
     for case in range(1200):
         series = _random_series(rng, case % 21, constants[case % len(constants)])
         k = rng.randint(-12, 12)
-        numerators, denominator = _unit_power(series.coefficients, k)
-        value = TruncatedSeries([Fraction(c, denominator) for c in numerators])
-        assert value == _unit_power_by_products(series, k), (case, k)
+        value, numerators, denominator = _unit_power(series.coefficients, k)
+        assert [Fraction(c, denominator) for c in numerators] == value
+        assert TruncatedSeries(value) == _unit_power_by_products(series, k), (case, k)
 
 
 def test_compose_hand_oracle():

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from test_series import _inverse_by_fractions
+
 from rrcalc import (
     CHOW,
     CHOW_Q,
@@ -335,6 +337,22 @@ def test_law_over_the_integers_reads_integer_entries_only():
     assert twisted_k.law(u, v) == u + v - 2 * u * v
 
 
+def test_z_law_drops_a_fractional_entry_whose_product_vanishes():
+    # Entries with b^l != 0 but a^i * b^l = 0 are fractional here; the value
+    # is integral, and the conjugation route finds it.
+    twist = TruncatedSeries(
+        [1, -2, 0, Fraction(1, 3), Fraction(2, 3), 0, Fraction(1, 2), -1]
+        + [Fraction(-5, 3), Fraction(-5, 3), 3, 1]
+    )
+    theory = twist_theory(CHOW, twist)
+    x, y = RingSpec(("x", "y"), (3, 2), INTEGERS).generators()
+    a, b = -3 * x**2 - 2 * x**2 * y + 3 * x**3 * y**2, 3 * x - x**2 * y**2
+    expected = 3 * x - 3 * x**2 + 36 * x**3 - 2 * x**2 * y + 24 * x**3 * y
+    expected += -(x**2) * y**2 + 3 * x**3 * y**2
+    assert _law_by_conjugation(theory, a, b) == expected
+    assert theory.law(a, b) == expected
+
+
 def test_deficit_and_identity_tables_are_exact_at_every_order():
     for order in range(1, 31):
         n = order + 1  # the conjugator's order
@@ -463,6 +481,22 @@ def test_line_class_values():
     assert k_line_class(2, 1) == one + t + t * t
     assert k_line_class(2, -1) == one - t
     assert k_line_class(2, 0) == one
+
+
+# [O(m)] as the ring computed it before the binomial row: powers of 1 - t.
+def _k_line_class_by_ring_powers(n, m):
+    spec = ring_of(K_THEORY, (n,))
+    dual_hyperplane = spec.one() - spec.generator(0)
+    if m >= 0:
+        return dual_hyperplane.inverse() ** m
+    return dual_hyperplane ** (-m)
+
+
+def test_line_class_matches_the_ring_powers():
+    rng = random.Random(1603)
+    cases = [(rng.randint(0, 8), rng.randint(-20, 20)) for _ in range(200)]
+    for n, m in cases + [(80, 10**6), (80, -(10**6)), (0, 5), (3, 0)]:
+        assert k_line_class(n, m) == _k_line_class_by_ring_powers(n, m), (n, m)
 
 
 def test_line_classes_multiply():
@@ -854,13 +888,14 @@ def _shapes_up_to_p4():
                 yield linear_immersion(CHOW, d, d + codim, within=dims, factor=j)
 
 
-# The collapse correction (1/F)^(d + 1) * F(0) as `_euler_correction` built it
-# before the power recurrence: the integer inverse, squared and multiplied.
-def _collapse_correction_by_squaring(twist, d):
-    head = twist.coefficients[: d + 1]
-    _, inverse, e = series._inverse(head)
-    c, denominator = series._power((inverse, e), d + 1, d)
-    return [Fraction(v * head[0].numerator, denominator * head[0].denominator) for v in c]
+# The collapse correction (1/F)^(d + 1) * F(0) without the power recurrence:
+# the Fraction-loop inverse, then d + 1 whole-series products.
+def _collapse_correction_by_products(twist, d):
+    inverse = _inverse_by_fractions(twist.truncated(d))
+    result = TruncatedSeries([twist[0]], d)
+    for _ in range(d + 1):
+        result = result * inverse
+    return list(result.coefficients)
 
 
 def test_collapse_correction_matches_the_squared_inverse():
@@ -871,7 +906,7 @@ def test_collapse_correction_matches_the_squared_inverse():
         twist = _seeded_twist(rng, constant, d + rng.randint(0, 2), case % 2 == 0)
         c, denominator = theories._euler_correction(twist, point_projection(CHOW, d))
         assert denominator > 0
-        expected = _collapse_correction_by_squaring(twist, d)
+        expected = _collapse_correction_by_products(twist, d)
         assert [Fraction(v, denominator) for v in c] == expected, case
 
 
