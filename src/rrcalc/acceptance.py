@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -40,7 +39,7 @@ from .bundles import (
     whitney_sum,
 )
 from .rings import INTEGERS, RATIONALS, RingElement, RingSpec
-from .series import TruncatedSeries, exp_deficit_series, todd_series
+from .series import TruncatedSeries, _record, exp_deficit_series, todd_series
 from .theories import (
     CHOW,
     CHOW_Q,
@@ -60,7 +59,7 @@ from .theories import (
 )
 
 
-@dataclass(frozen=True)
+@_record
 class CriterionResult:
     number: int
     name: str

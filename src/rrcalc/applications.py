@@ -21,12 +21,11 @@ surfaces fibered by a pencil.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import chern_from_character, todd_class
 from .rings import RingElement, SpecMismatch, eval_series
-from .series import exp_deficit_series
+from .series import _record, exp_deficit_series
 from .theories import (
     CHOW,
     CHOW_Q,
@@ -51,7 +50,7 @@ class NonIntegerChi(ValueError):
     """A chi formula produced a non-integer, so the input data is inconsistent."""
 
 
-@dataclass(frozen=True)
+@_record
 class AbstractCurve:
     """A curve known only through its genus; deg K = 2g - 2."""
 
@@ -62,13 +61,13 @@ class AbstractCurve:
             raise ValueError("genus must be >= 0")
 
 
-@dataclass(frozen=True)
+@_record
 class CurveBundle:
     rank: int
     deg_c1: int
 
 
-@dataclass(frozen=True)
+@_record
 class AbstractSurface:
     """A surface known through deg K^2 and the topological Euler number."""
 
@@ -76,7 +75,7 @@ class AbstractSurface:
     chi_top: int
 
 
-@dataclass(frozen=True)
+@_record
 class SurfaceBundle:
     rank: int
     c1_dot_K: int
@@ -84,7 +83,7 @@ class SurfaceBundle:
     deg_c2: int
 
 
-@dataclass(frozen=True)
+@_record
 class FormSingularityData:
     """Divisor and singularity data of a meromorphic 1-form on a surface."""
 

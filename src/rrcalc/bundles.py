@@ -17,7 +17,6 @@ Chern classes are free symbols c_i of weight i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
@@ -38,14 +37,14 @@ from .rings import (
     _weighted_sum,
     eval_series,
 )
-from .series import TruncatedSeries, _log_ratio, exponential_series, todd_series
+from .series import TruncatedSeries, _log_ratio, _record, exponential_series, todd_series
 
 
 class RankMismatch(ValueError):
     """A Chern character whose degree-0 part disagrees with the stated rank."""
 
 
-@dataclass(frozen=True)
+@_record
 class BundleClass:
     """A virtual bundle: integer rank plus total Chern class.
 
@@ -56,9 +55,19 @@ class BundleClass:
     rank: int
     total_chern: RingElement
 
-    def __post_init__(self):
-        if self.total_chern.constant_term != 1:
+    def __init__(self, rank, total_chern):
+        if total_chern.constant_term != 1:
             raise ValueError("total Chern class must have constant term 1")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "total_chern", total_chern)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank, self.total_chern) == (other.rank, other.total_chern)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rank, self.total_chern))
 
     @property
     def spec(self) -> RingSpec:
@@ -76,8 +85,9 @@ class BundleClass:
     def _power_sums(self) -> list[RingElement]:
         # p_1 .. p_T by Newton's identities, once per bundle for both
         # extensions.  cached_property writes the instance __dict__ directly,
-        # so it works on the frozen dataclass and stays out of ==, hash and
-        # repr; the list and its elements are shared, so never mutated.
+        # past the record's refusal of assignment, and a __dict__ entry is
+        # no field, so it stays out of ==, hash and repr; the list and its
+        # elements are shared, so never mutated.
         if self.spec.total_degree == 0:
             return []  # a point ring has no positive-degree classes
         return newton_e_to_p(self.chern_classes(), self.spec.total_degree)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -47,7 +46,7 @@ from .rings import (
     OutOfBounds,
     SpecMismatch,
 )
-from .series import NotReversible, exp_deficit_series, todd_series
+from .series import NotReversible, _record, exp_deficit_series, todd_series
 from .theories import (
     CHOW,
     K_THEORY,
@@ -103,7 +102,7 @@ _INTERNAL_FAULTS = (
 )
 
 
-@dataclass(frozen=True)
+@_record
 class CommandResult:
     """What every subcommand emits: inputs, outputs, and a tri-state verdict.
 

@@ -15,16 +15,80 @@ log(f/f(0)) is the integral of f' times that inverse, one more product
 (`_log_ratio`); reversion projects baby-step/giant-step powers of t/f,
 read off 1/(f/t) (Brent & Kung 1978), with about 2*sqrt(n) products,
 O(n^2.5).
+
+The module also holds `_record`, the immutable-record decorator every
+other module's value classes use, because every module imports this one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, isqrt, lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Collection, Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+
+def _record(cls):
+    """Make `cls` an immutable record over its annotated fields, in order.
+
+    It behaves as under `dataclasses.dataclass(frozen=True)`, without that
+    module's import cost (it loads `inspect`) or its `exec` per class:
+    records are built by position, keyword or class-level default, then
+    `__post_init__` runs if defined; `==` holds only between records of
+    one class with equal field tuples; `hash` is the field tuple's;
+    `repr` reads `Name(field=value, ...)`; assignment and deletion raise
+    AttributeError.  A method the class writes itself is kept: the hot
+    records write `__init__`, `__eq__` and `__hash__` with the same
+    meaning, as fast as generated code, which a closure over
+    `attrgetter` is not.  Instances keep a `__dict__`, so
+    `cached_property` and explicit `__dict__` caches work and, being no
+    fields, stay out of ==, hash and repr.  Annotations are only named,
+    never evaluated.
+    """
+    names = cls._fields = tuple(cls.__annotations__)
+    get = attrgetter(*names)
+    values = get if len(names) > 1 else lambda self: (get(self),)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(names, args))
+        if len(args) > len(names) or given.keys() & kwargs:
+            raise TypeError(f"{cls.__name__} takes one value per field of {names}")
+        given = {**defaults, **given, **kwargs}
+        if given.keys() != set(names):
+            raise TypeError(f"{cls.__name__} takes exactly the fields {names}")
+        for name in names:
+            object.__setattr__(self, name, given[name])
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        # A class that writes __eq__ alone gets __hash__ = None, so None
+        # counts as not written, as for a dataclass.
+        if cls.__dict__.get(method.__name__) is None:
+            setattr(cls, method.__name__, method)
+    return cls
 
 
 class ZeroConstantTerm(ValueError):

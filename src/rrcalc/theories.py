@@ -26,7 +26,6 @@ exposed separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -50,6 +49,7 @@ from .series import (
     TruncatedSeries,
     _log_ratio,
     _powers,
+    _record,
     _unit_power,
     common_denominator,
     exp_deficit_series,
@@ -84,7 +84,7 @@ def _names(base: str, count: int) -> tuple[str, ...]:
 _LABELS = (("chow", "h"), ("ktheory", "t"))
 
 
-@dataclass(frozen=True)
+@_record
 class TheoryModel:
     """Connective K-theory law x + y - beta*x*y at beta 0 or 1, maybe twisted."""
 
@@ -92,13 +92,26 @@ class TheoryModel:
     scalars: str
     twist: TruncatedSeries | None = None
 
-    def __post_init__(self):
-        if self.beta not in (0, 1):
-            raise ValueError(f"beta must be 0 or 1, not {self.beta!r}")
-        if self.twist is not None and self.scalars != RATIONALS:
+    def __init__(self, beta, scalars, twist=None):
+        if beta not in (0, 1):
+            raise ValueError(f"beta must be 0 or 1, not {beta!r}")
+        if twist is not None and scalars != RATIONALS:
             raise ValueError("twisted theories carry rational scalars")
-        if self.twist is not None and self.twist[0] == 0:
+        if twist is not None and twist[0] == 0:
             raise NonUnitConstant("a twisting series needs an invertible constant term")
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "scalars", scalars)
+        object.__setattr__(self, "twist", twist)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.beta, self.scalars, self.twist) == (
+                other.beta, other.scalars, other.twist
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.beta, self.scalars, self.twist))
 
     def __repr__(self) -> str:
         name = _LABELS[self.beta][0]
@@ -140,8 +153,8 @@ class TheoryModel:
             return _UNTWISTED_LAWS[self.beta]
         built = self.__dict__.get("_built_law")
         if built is None or built[0] < degree:
-            # Kept in the instance __dict__, so it stays out of ==, hash
-            # and repr of the frozen dataclass.
+            # Kept in the instance __dict__, which holds no field, so it
+            # stays out of the record's ==, hash and repr.
             table = _law_coefficients(*self._logarithm(degree), degree) if degree else {}
             built = self.__dict__["_built_law"] = (degree, table)
         return built[1]
@@ -284,7 +297,7 @@ def space_tangent(theory: TheoryModel, dims) -> BundleClass:
     return BundleClass(sum(dims), total)
 
 
-@dataclass(frozen=True)
+@_record
 class Morphism:
     """A supported map f: source -> target, as a shape valid in every theory.
 
@@ -299,20 +312,31 @@ class Morphism:
     target: Dims
     factor: int
 
-    def __post_init__(self):
+    def __init__(self, source, target, factor):
         # Tuples of ints, so that descriptors of one shape compare and
         # hash equal whatever sequences built them.
-        source, target, j = _dims(self.source), _dims(self.target), self.factor
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
+        source, target, j = _dims(source), _dims(target), factor
         if not 0 <= j < len(source):
             raise ValueError(f"no factor {j} in {source}")
         rest = source[:j] + source[j + 1 :]
-        if self.is_immersion and target[:j] + target[j + 1 :] == rest:
+        if len(target) == len(source) and target[:j] + target[j + 1 :] == rest:
             if target[j] < source[j]:
                 raise ValueError("an immersion cannot lower the dimension")
         elif target != rest:
             raise ValueError(f"{source} -> {target} neither immerses nor drops factor {j}")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "factor", factor)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.source, self.target, self.factor) == (
+                other.source, other.target, other.factor
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.factor))
 
     @property
     def is_immersion(self) -> bool:
@@ -474,7 +498,7 @@ def universal_morphism(a: RingElement) -> RingElement:
     return image
 
 
-@dataclass(frozen=True)
+@_record
 class GKClass:
     """A graded-K class: filtration level and its homogeneous representative."""
 
@@ -543,7 +567,7 @@ def diagonal_class(theory: TheoryModel, n: int) -> RingElement:
     return delta
 
 
-@dataclass(frozen=True)
+@_record
 class MetricReport:
     """Diagonal coefficient matrix with its exact determinant."""
 

@@ -6,9 +6,15 @@ read when it is loaded anywhere, including as the base of an attribute
 access, or named inside a quoted annotation.  A second scan asks that
 every module-level private function of the library is read by library
 code outside its own definition, so no helper outlives its callers.
+A third check runs a fresh interpreter: importing the CLI must load none
+of the introspection modules that `dataclasses` pulls in, since every
+command starts a new process and pays for each import.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,3 +98,28 @@ def test_the_scan_finds_an_unread_private_function():
         "b.py": "from a import _used\ndef _orphan():\n    pass\nvalue = _used()\n",
     }
     assert unread_private_functions(sources) == ["a.py: _self_only", "b.py: _orphan"]
+
+
+INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def introspection_loaded(code: str) -> list[str]:
+    """The INTROSPECTION modules a fresh interpreter has loaded after `code`."""
+    probe = f"{code}\nimport sys\nprint(*(m for m in {INTROSPECTION!r} if m in sys.modules))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return child.stdout.split()
+
+
+def test_importing_the_cli_loads_no_introspection_module():
+    assert introspection_loaded("import rrcalc.cli") == []
+
+
+def test_the_import_guard_reports_dataclasses():
+    assert "dataclasses" in introspection_loaded("import rrcalc.cli\nimport dataclasses")
