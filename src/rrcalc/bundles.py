@@ -17,10 +17,10 @@ Chern classes are free symbols c_i of weight i.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
-from typing import Sequence
 
 from .rings import (
     RATIONALS,
@@ -55,19 +55,9 @@ class BundleClass:
     rank: int
     total_chern: RingElement
 
-    def __init__(self, rank, total_chern):
-        if total_chern.constant_term != 1:
+    def __post_init__(self):
+        if self.total_chern.constant_term != 1:
             raise ValueError("total Chern class must have constant term 1")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "total_chern", total_chern)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rank, self.total_chern) == (other.rank, other.total_chern)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rank, self.total_chern))
 
     @property
     def spec(self) -> RingSpec:

@@ -28,12 +28,12 @@ capped ring's weight slot holds the degree itself), with no table kept.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import le, mul
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .series import Scalar, TruncatedSeries, _record, common_denominator
 
@@ -83,35 +83,21 @@ class RingSpec:
     weights: tuple[int, ...] | None = None
     cap: int | None = None
 
-    def __init__(self, variables, bounds, scalars=INTEGERS, weights=None, cap=None):
-        variables = tuple(variables)
-        bounds = tuple(int(b) for b in bounds)
-        weights = tuple(int(w) for w in ((1,) * len(variables) if weights is None else weights))
-        if not len(variables) == len(bounds) == len(weights):
+    def __post_init__(self):
+        object.__setattr__(self, "variables", tuple(self.variables))
+        object.__setattr__(self, "bounds", tuple(int(b) for b in self.bounds))
+        weights = (1,) * len(self.variables) if self.weights is None else self.weights
+        object.__setattr__(self, "weights", tuple(int(w) for w in weights))
+        if not len(self.variables) == len(self.bounds) == len(self.weights):
             raise ValueError("one bound and one weight per variable required")
-        if len(set(variables)) != len(variables):
+        if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be distinct")
-        if any(b < 0 for b in bounds):
+        if any(b < 0 for b in self.bounds):
             raise ValueError("bounds must be >= 0")
-        if any(w < 1 for w in weights) or (cap is not None and cap < 0):
+        if any(w < 1 for w in self.weights) or (self.cap is not None and self.cap < 0):
             raise ValueError("weights must be >= 1 and the cap >= 0")
-        if scalars not in (INTEGERS, RATIONALS):
-            raise ValueError(f"unknown scalar domain {scalars!r}")
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "scalars", scalars)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "cap", cap)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.variables, self.bounds, self.scalars, self.weights, self.cap) == (
-                other.variables, other.bounds, other.scalars, other.weights, other.cap
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.variables, self.bounds, self.scalars, self.weights, self.cap))
+        if self.scalars not in (INTEGERS, RATIONALS):
+            raise ValueError(f"unknown scalar domain {self.scalars!r}")
 
     def __str__(self) -> str:
         ring = "Z" if self.scalars == INTEGERS else "Q"

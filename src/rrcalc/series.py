@@ -22,12 +22,12 @@ other module's value classes use, because every module imports this one.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Sequence
 from fractions import Fraction
 from math import factorial, gcd, isqrt, lcm
 from operator import attrgetter, mul
-from typing import Collection, Iterable, Sequence, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 def _record(cls):
@@ -39,13 +39,10 @@ def _record(cls):
     `__post_init__` runs if defined; `==` holds only between records of
     one class with equal field tuples; `hash` is the field tuple's;
     `repr` reads `Name(field=value, ...)`; assignment and deletion raise
-    AttributeError.  A method the class writes itself is kept: the hot
-    records write `__init__`, `__eq__` and `__hash__` with the same
-    meaning, as fast as generated code, which a closure over
-    `attrgetter` is not.  Instances keep a `__dict__`, so
-    `cached_property` and explicit `__dict__` caches work and, being no
-    fields, stay out of ==, hash and repr.  Annotations are only named,
-    never evaluated.
+    AttributeError.  A method the class writes itself is kept.  Instances
+    keep a `__dict__`, so `cached_property` and explicit `__dict__`
+    caches work and, being no fields, stay out of ==, hash and repr.
+    Annotations are only named, never evaluated.
     """
     names = cls._fields = tuple(cls.__annotations__)
     get = attrgetter(*names)
@@ -54,18 +51,25 @@ def _record(cls):
     post_init = getattr(cls, "__post_init__", None)
 
     def __init__(self, *args, **kwargs):
-        given = dict(zip(names, args))
-        if len(args) > len(names) or given.keys() & kwargs:
+        if len(args) > len(names):
             raise TypeError(f"{cls.__name__} takes one value per field of {names}")
-        given = {**defaults, **given, **kwargs}
-        if given.keys() != set(names):
-            raise TypeError(f"{cls.__name__} takes exactly the fields {names}")
-        for name in names:
-            object.__setattr__(self, name, given[name])
+        fields = self.__dict__
+        fields.update(zip(names, args))
+        for name in names[len(args) :]:
+            if name in kwargs:
+                fields[name] = kwargs.pop(name)
+            elif name in defaults:
+                fields[name] = defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__} takes exactly the fields {names}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__} takes one value per field of {names}")
         if post_init is not None:
             post_init(self)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if other.__class__ is self.__class__:
             return values(self) == values(other)
         return NotImplemented

@@ -92,26 +92,13 @@ class TheoryModel:
     scalars: str
     twist: TruncatedSeries | None = None
 
-    def __init__(self, beta, scalars, twist=None):
-        if beta not in (0, 1):
-            raise ValueError(f"beta must be 0 or 1, not {beta!r}")
-        if twist is not None and scalars != RATIONALS:
+    def __post_init__(self):
+        if self.beta not in (0, 1):
+            raise ValueError(f"beta must be 0 or 1, not {self.beta!r}")
+        if self.twist is not None and self.scalars != RATIONALS:
             raise ValueError("twisted theories carry rational scalars")
-        if twist is not None and twist[0] == 0:
+        if self.twist is not None and self.twist[0] == 0:
             raise NonUnitConstant("a twisting series needs an invertible constant term")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "scalars", scalars)
-        object.__setattr__(self, "twist", twist)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.beta, self.scalars, self.twist) == (
-                other.beta, other.scalars, other.twist
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.beta, self.scalars, self.twist))
 
     def __repr__(self) -> str:
         name = _LABELS[self.beta][0]
@@ -312,31 +299,20 @@ class Morphism:
     target: Dims
     factor: int
 
-    def __init__(self, source, target, factor):
+    def __post_init__(self):
         # Tuples of ints, so that descriptors of one shape compare and
         # hash equal whatever sequences built them.
-        source, target, j = _dims(source), _dims(target), factor
+        source, target, j = _dims(self.source), _dims(self.target), self.factor
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
         if not 0 <= j < len(source):
             raise ValueError(f"no factor {j} in {source}")
         rest = source[:j] + source[j + 1 :]
-        if len(target) == len(source) and target[:j] + target[j + 1 :] == rest:
+        if self.is_immersion and target[:j] + target[j + 1 :] == rest:
             if target[j] < source[j]:
                 raise ValueError("an immersion cannot lower the dimension")
         elif target != rest:
             raise ValueError(f"{source} -> {target} neither immerses nor drops factor {j}")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "factor", factor)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.source, self.target, self.factor) == (
-                other.source, other.target, other.factor
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.factor))
 
     @property
     def is_immersion(self) -> bool:

@@ -8,7 +8,10 @@ every module-level private function of the library is read by library
 code outside its own definition, so no helper outlives its callers.
 A third check runs a fresh interpreter: importing the CLI must load none
 of the introspection modules that `dataclasses` pulls in, since every
-command starts a new process and pays for each import.
+command starts a new process and pays for each import.  A fourth reads
+the library's import statements: no module imports `typing`, whose names
+`collections.abc` and `X | Y` replace.  That check is static, because a
+site `.pth` file may load `typing` before any library code runs.
 """
 
 import ast
@@ -98,6 +101,28 @@ def test_the_scan_finds_an_unread_private_function():
         "b.py": "from a import _used\ndef _orphan():\n    pass\nvalue = _used()\n",
     }
     assert unread_private_functions(sources) == ["a.py: _self_only", "b.py: _orphan"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that `source` imports."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda path: path.name)
+def test_no_library_module_imports_typing(path):
+    assert "typing" not in imported_modules(path.read_text())
+
+
+def test_the_scan_finds_every_form_of_import():
+    source = "import typing\nfrom typing import Union\nimport os.path\nfrom . import rings\n"
+    source += "def f():\n    from collections.abc import Mapping\n"
+    assert imported_modules(source) == {"typing", "os", "collections"}
 
 
 INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")

@@ -9,11 +9,15 @@ keyword and default construction give equal records; that a record
 equals no record of another class and no plain tuple; and that
 assignment and deletion raise AttributeError.  The field values are
 already in the form the constructors store, so a record and its twin
-hold the same values.
+hold the same values.  Every record runs `_record`'s own methods (only
+`TheoryModel` writes its `__repr__`), so these checks test one shared
+code path; the checks that `__post_init__` runs are pinned by message
+and order.
 """
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,6 +33,7 @@ from rrcalc import (
     FormSingularityData,
     GKClass,
     Morphism,
+    NonUnitConstant,
     RingSpec,
     SurfaceBundle,
     TheoryModel,
@@ -228,3 +233,56 @@ def test_dict_caches_stay_out_of_equality_hash_and_repr():
     assert theory.law(*ring_of(theory, (1, 1)).generators()) is not None  # fills _built_law
     assert "_built_law" in vars(theory)
     assert theory == TheoryModel(0, RATIONALS, TruncatedSeries([1, 1, 0]))
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_every_record_runs_the_generic_methods(cls):
+    for name in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+        owner = getattr(cls, name).__qualname__
+        if (cls, name) == (TheoryModel, "__repr__"):
+            assert owner == "TheoryModel.__repr__"
+        else:
+            assert owner == f"_record.<locals>.{name}"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # Each case also breaks every later check, so the first message pins the order.
+        ((("x", "x"), (-1,), "reals", (0,), -1), "one bound and one weight per variable required"),
+        ((("x", "x"), (-1, -1), "reals", (0, 0), -1), "variable names must be distinct"),
+        ((("x", "y"), (-1, 0), "reals", (0, 1), -1), "bounds must be >= 0"),
+        ((("x", "y"), (1, 0), "reals", (0, 1), None), "weights must be >= 1 and the cap >= 0"),
+        ((("x", "y"), (1, 0), "reals", (1, 1), -1), "weights must be >= 1 and the cap >= 0"),
+        ((("x",), (1,), "reals"), "unknown scalar domain 'reals'"),
+    ],
+)
+def test_a_ring_spec_names_its_first_broken_rule(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RingSpec(*args)
+
+
+def test_a_ring_spec_built_from_lists_is_the_one_built_from_tuples():
+    listed = RingSpec(["x", "y"], [2, 1], RATIONALS, [1, 2], 3)
+    spec = RingSpec(("x", "y"), (2, 1), RATIONALS, (1, 2), 3)
+    assert listed == spec and hash(listed) == hash(spec) and repr(listed) == repr(spec)
+    spec = RingSpec(["x"], [Fraction(2)], weights=[Fraction(1)])
+    assert list(map(type, spec.bounds + spec.weights)) == [int, int]
+
+
+def test_a_theory_model_names_its_first_broken_rule():
+    head_zero = TruncatedSeries([0, 1])
+    unit = "a twisting series needs an invertible constant term"
+    for args, error, message in (
+        ((2, INTEGERS, head_zero), ValueError, "beta must be 0 or 1, not 2"),
+        ((0, INTEGERS, head_zero), ValueError, "twisted theories carry rational scalars"),
+        ((0, RATIONALS, head_zero), NonUnitConstant, unit),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            TheoryModel(*args)
+
+
+def test_a_bundle_class_needs_a_unit_total_chern_class():
+    for total in (SPEC.generator(0), SPEC.scalar(2) + SPEC.generator(0)):
+        with pytest.raises(ValueError, match="^total Chern class must have constant term 1$"):
+            BundleClass(1, total)
