@@ -76,9 +76,10 @@ MAX_TWIST = 10**6
 # Highest --dim per command, with its time at the bound and one step up, for
 # one process including about 0.15 s of interpreter start and imports:
 # chi pn 0.13-0.14 s (100: 0.20-0.37 s); verify grr 0.11-0.13 s with
-# --immersion 59 (70: 0.14-0.19 s, 80: 0.17-0.26 s); diagonal 0.21-0.40 s
-# in chow and 0.28-0.50 s in k (240: 0.29-0.41 s and 0.35-0.53 s);
-# adjunction 0.21-0.34 s (100: 0.35-0.58 s).
+# --immersion 59 (70: 0.14-0.19 s, 80: 0.17-0.26 s); diagonal 0.24-0.25 s
+# in chow and 0.25-0.27 s in k from bytecode, 0.20-0.28 s and 0.18-0.31 s
+# compiling the sources (240: 0.28 s in both from bytecode, 0.26-0.34 s and
+# 0.32-0.41 s compiling); adjunction 0.21-0.34 s (100: 0.35-0.58 s).
 MAX_CHI_PN_DIM = 80
 MAX_GRR_DIM = 60
 MAX_DIAGONAL_DIM = 200

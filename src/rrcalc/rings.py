@@ -17,10 +17,10 @@ equality and hashing work on these tables; the exponent-vector table
 (`RingElement(spec, terms)`) validates outside input; every element the
 library builds goes through the trusted `_element`.  Other modules reach
 the kernel through `_tables`, `_convolve`, `_reduced`, `_weighted_sum`,
-`_element`, `_substituted`, `_transposed` and `_eval_bivariate` without
-knowing the packing.  `_eval_bivariate` is the one evaluation kernel: the
-group law calls it, `eval_series` is its one-row case, and it is the one
-place in this module that raises InsufficientOrder.  Weighted degrees of
+`_element`, `_substituted` and `_eval_bivariate` without knowing the
+packing.  `_eval_bivariate` is the one evaluation kernel: the group law
+calls it, `eval_series` is its one-row case, and it is the one place in
+this module that raises InsufficientOrder.  Weighted degrees of
 packed keys are read through `_weights`, straight off the keys' slots (a
 capped ring's weight slot holds the degree itself), with no table kept.
 """
@@ -472,18 +472,6 @@ def _weights(spec: RingSpec, keys: Iterable[int]) -> list[int]:
     for s, m, w in zip(shifts, masks, spec.weights):
         degrees = [d + (key >> s & m) * w for d, key in zip(degrees, keys)]
     return degrees
-
-
-def _transposed(a: RingElement) -> RingElement:
-    """a with its two variables swapped, on packed keys: none is decoded.
-
-    The ring must have exactly two variables with one bound and no cap,
-    so the two slots have one width and one offset and swap as blocks.
-    """
-    width = a.spec._packing[1][1]
-    low = (1 << width) - 1
-    table = {key >> width | (key & low) << width: v for key, v in a._table.items()}
-    return _element(a.spec, table, a._denominator)
 
 
 def _substituted(

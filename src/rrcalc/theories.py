@@ -43,7 +43,6 @@ from .rings import (
     SpecMismatch,
     _eval_bivariate,
     _substituted,
-    _transposed,
 )
 from .series import (
     TruncatedSeries,
@@ -502,45 +501,48 @@ def gk_leading_morphism(a: RingElement, level: int) -> GKClass:
 
 
 def diagonal_class(theory: TheoryModel, n: int) -> RingElement:
-    """The class of the diagonal of P^n x P^n, solved level by level.
+    """The class of the diagonal of P^n x P^n: the dual bases of the point pairing.
 
-    Level k is pinned by three facts: restricting the first factor to a
-    hyperplane must give the level k-1 class pushed into the second
-    factor; the table is symmetric; and collapsing the first factor
-    yields 1.  The first fixes every row but the last, the normalization
-    fixes the last row, and symmetry is verified afterwards.  Any failure
-    raises SolverInconsistent, since the axioms guarantee a solution.
+    Built by `_dual_basis`, then re-checked through the theory's own maps:
+    collapsing the first factor yields 1, and restricting the first factor
+    to a hyperplane gives the P^(n-1) class pushed into the second factor.
+    Any failure raises SolverInconsistent, since the axioms guarantee both.
     """
     (n,) = _dims(n)  # refuses n < 0 like any factor dimension
-    delta = ring_of(theory, (0, 0)).one()
-    for k in range(1, n + 1):
-        include = linear_immersion(theory, k - 1, k, within=(k - 1, k - 1), factor=1)
-        pushed = pushforward(theory, include, delta)
-        spec = ring_of(theory, (k, k))
-        rows = _substituted(pushed, spec, 0, [[(r, 1)] for r in range(k)])  # pushed, in (k, k)
-        # Collapsing the first factor must give 1; the rows below k give all
-        # of it but the residue, which row k supplies through p_*(x^k).
-        collapse = factor_projection(theory, (k, k), 0)
-        one = ring_of(theory, (k,)).one()
-        residue = one - pushforward(theory, collapse, rows)
-        top = _substituted(one, spec, 0, [[(k, 1)]])  # x^k
-        pivot = pushforward(theory, collapse, top).constant_term
-        if pivot == 0 or theory.scalars == INTEGERS and pivot not in (1, -1):
-            raise SolverInconsistent("point pushforward of the top power is not a unit")
-        inverse = 1 / Fraction(pivot)  # row k is x^k * residue / pivot
-        last = _substituted(residue, spec, 0, [[(k, inverse.numerator)]], inverse.denominator)
-        delta = rows + last
-        if _transposed(delta) != delta:  # decoded only to name the first asymmetry
-            terms = delta.terms
-            r, s = next((r, s) for (r, s), c in terms.items() if terms.get((s, r), 0) != c)
-            raise SolverInconsistent(f"diagonal table for n={k} is not symmetric at {(r, s)}")
-        # Re-check the two defining constraints through the actual maps.
-        if pushforward(theory, collapse, delta) != one:
-            raise SolverInconsistent(f"(p_* x 1) normalization fails at n={k}")
-        restrict = linear_immersion(theory, k - 1, k, within=(k - 1, k), factor=0)
+    delta = _dual_basis(theory, n)
+    if pushforward(theory, factor_projection(theory, (n, n), 0), delta) != 1:
+        raise SolverInconsistent(f"(p_* x 1) normalization fails at n={n}")
+    if n:
+        include = linear_immersion(theory, n - 1, n, within=(n - 1, n - 1), factor=1)
+        restrict = linear_immersion(theory, n - 1, n, within=(n - 1, n), factor=0)
+        pushed = pushforward(theory, include, _dual_basis(theory, n - 1))
         if pullback(theory, restrict, delta) != pushed:
-            raise SolverInconsistent(f"hyperplane restriction fails at n={k}")
+            raise SolverInconsistent(f"hyperplane restriction fails at n={n}")
     return delta
+
+
+def _dual_basis(theory: TheoryModel, n: int) -> RingElement:
+    """sum_r x^r * e_r(y), e_r the basis dual to x^r under (a, b) |-> p_*(ab) on P^n.
+
+    The pairing's matrix G[r, s] = m_(r+s) holds the moments m_k = p_*(x^k),
+    zero past n: a triangular Hankel matrix, whose inverse is G^(-1)[r, s] =
+    nu_(r+s-n), nu = 1 / (m_n + m_(n-1) z + ... + m_0 z^n) (Fulton,
+    Intersection Theory, 16.1).  So the class is sum_(r+s>=n) nu_(r+s-n)
+    x^r y^s, from one series inverse: nu = 1 in Chow, 1 - z in K.  The
+    moments are one pushforward of sum_k x^k y^k along the first factor,
+    read off y^k.  m_n must be a unit: +-1 over the integers, nonzero over
+    the rationals.
+    """
+    spec = ring_of(theory, (n, n))
+    tagged = spec.element({(k, k): 1 for k in range(n + 1)})
+    moments = pushforward(theory, factor_projection(theory, (n, n), 0), tagged).terms
+    pivot = moments.get((n,), 0)
+    if pivot == 0 or theory.scalars == INTEGERS and pivot not in (1, -1):
+        raise SolverInconsistent("point pushforward of the top power is not a unit")
+    nu = TruncatedSeries([moments.get((k,), 0) for k in range(n, -1, -1)]).inverse()
+    return spec.element(
+        {(r, n + j - r): c for j, c in enumerate(nu.coefficients) if c for r in range(j, n + 1)}
+    )
 
 
 @_record

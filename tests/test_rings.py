@@ -615,16 +615,3 @@ def test_only_rings_knows_the_packing():
             text = path.read_text()
             assert [word for word in refused if re.search(word, text)] == [], path.name
 
-
-@pytest.mark.parametrize("scalars", [INTEGERS, RATIONALS])
-def test_transposed_swaps_the_two_variables_on_packed_keys(scalars):
-    rng = random.Random(1604)
-    for d in range(7):
-        spec = RingSpec(("x", "y"), (d, d), scalars)
-        for _ in range(12):
-            a = _random_terms(rng, spec)
-            assert rings._transposed(a).terms == {(s, r): c for (r, s), c in a.terms.items()}
-    x, y = RingSpec(("x", "y"), (3, 3), scalars).generators()
-    asymmetric = x * y**2 + 2 * x**2 * y  # deliberately not symmetric
-    assert rings._transposed(asymmetric) == y * x**2 + 2 * y**2 * x != asymmetric
-    assert rings._transposed(x * y + x + y) == x * y + x + y

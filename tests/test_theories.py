@@ -48,6 +48,7 @@ from rrcalc import (
     universal_morphism,
 )
 from rrcalc import acceptance, rings, series, theories
+from rrcalc.cli import MAX_DIAGONAL_DIM
 from rrcalc.rings import INTEGERS, RATIONALS
 
 
@@ -1357,27 +1358,38 @@ def _doubled(element):
     return element + element
 
 
-def test_solver_refuses_an_asymmetric_table(monkeypatch):
-    # A doubled p_*(x^2) halves row 2 of level 2 and leaves column 2 alone.
-    def top_power(f, a):
-        return not f.is_immersion and a.terms == {(2, 0): 1}
+def _is_moments(f, a):
+    # The one collapse of sum_k x^k y^k that reads the moments p_*(x^k).
+    return not f.is_immersion and all(r == s for r, s in a.terms)
 
-    _tamper(monkeypatch, "pushforward", top_power, _doubled)
+
+def test_solver_refuses_a_top_moment_that_is_not_a_unit_over_z(monkeypatch):
+    _tamper(monkeypatch, "pushforward", _is_moments, _doubled)  # p_*(x^n) = 2
     with pytest.raises(
-        SolverInconsistent, match=r"^diagonal table for n=2 is not symmetric at \(0, 2\)$"
+        SolverInconsistent, match="^point pushforward of the top power is not a unit$"
     ):
-        diagonal_class(CHOW_Q, 3)
+        diagonal_class(CHOW, 2)
+
+
+def test_solver_refuses_a_zero_top_moment_over_q(monkeypatch):
+    def without_top(moments):  # p_*(x^n) = 0, the other moments kept
+        return moments - moments.spec.generator(0) ** moments.spec.bounds[0]
+
+    _tamper(monkeypatch, "pushforward", _is_moments, without_top)
+    with pytest.raises(
+        SolverInconsistent, match="^point pushforward of the top power is not a unit$"
+    ):
+        diagonal_class(TheoryModel(1, RATIONALS), 2)
 
 
 def test_solver_refuses_a_table_that_does_not_collapse_to_one(monkeypatch):
-    # Row 2 is solved from p_* of the rows below it and of x^2 alone; only
-    # the finished level-2 table reaches this doubled pushforward.
+    # Only the finished class, not the moments, has the monomial x^2.
     def whole_table(f, a):
-        return not f.is_immersion and (2, 0) in a.terms and len(a.terms) > 1
+        return not f.is_immersion and (2, 0) in a.terms
 
     _tamper(monkeypatch, "pushforward", whole_table, _doubled)
     with pytest.raises(SolverInconsistent, match=r"^\(p_\* x 1\) normalization fails at n=2$"):
-        diagonal_class(CHOW, 3)
+        diagonal_class(CHOW, 2)
 
 
 def test_solver_refuses_a_table_with_the_wrong_hyperplane_restriction(monkeypatch):
@@ -1386,7 +1398,89 @@ def test_solver_refuses_a_table_with_the_wrong_hyperplane_restriction(monkeypatc
 
     _tamper(monkeypatch, "pullback", from_level_two, _doubled)
     with pytest.raises(SolverInconsistent, match=r"^hyperplane restriction fails at n=2$"):
-        diagonal_class(K_THEORY, 3)
+        diagonal_class(K_THEORY, 2)
+
+
+def _diagonal_by_levels(theory, n):
+    # The level-by-level solver the dual-basis formula replaced, kept as an
+    # oracle.  Level k: the level k-1 class pushed into the second factor
+    # gives the rows below k; collapsing the first factor gives the residue
+    # 1 - p_*(rows) and the pivot p_*(x^k), and row k is their quotient.
+    # Symmetry, the normalization and the hyperplane restriction are
+    # re-checked at every level.  The maps are read off `theories`, so that
+    # a tampered map reaches the oracle too.
+    delta = ring_of(theory, (0, 0)).one()
+    for k in range(1, n + 1):
+        include = linear_immersion(theory, k - 1, k, within=(k - 1, k - 1), factor=1)
+        pushed = theories.pushforward(theory, include, delta)
+        spec = ring_of(theory, (k, k))
+        rows = rings._substituted(pushed, spec, 0, [[(r, 1)] for r in range(k)])
+        collapse = factor_projection(theory, (k, k), 0)
+        one = ring_of(theory, (k,)).one()
+        residue = one - theories.pushforward(theory, collapse, rows)
+        top = rings._substituted(one, spec, 0, [[(k, 1)]])  # x^k
+        pivot = theories.pushforward(theory, collapse, top).constant_term
+        if pivot == 0 or theory.scalars == INTEGERS and pivot not in (1, -1):
+            raise SolverInconsistent("point pushforward of the top power is not a unit")
+        inverse = 1 / Fraction(pivot)
+        last = rings._substituted(
+            residue, spec, 0, [[(k, inverse.numerator)]], inverse.denominator
+        )
+        delta = rows + last
+        terms = delta.terms
+        asymmetric = [(r, s) for (r, s), c in terms.items() if terms.get((s, r), 0) != c]
+        if asymmetric:
+            raise SolverInconsistent(
+                f"diagonal table for n={k} is not symmetric at {min(asymmetric)}"
+            )
+        if theories.pushforward(theory, collapse, delta) != one:
+            raise SolverInconsistent(f"(p_* x 1) normalization fails at n={k}")
+        restrict = linear_immersion(theory, k - 1, k, within=(k - 1, k), factor=0)
+        if theories.pullback(theory, restrict, delta) != pushed:
+            raise SolverInconsistent(f"hyperplane restriction fails at n={k}")
+    return delta
+
+
+@pytest.mark.parametrize("theory", DIAGONAL_THEORIES.values(), ids=DIAGONAL_THEORIES)
+def test_diagonal_matches_the_level_by_level_solver(theory):
+    for n in range(9):
+        expected = _diagonal_by_levels(theory, n)
+        delta = diagonal_class(theory, n)
+        assert delta == expected
+        assert {type(c) for c in delta.terms.values()} == {
+            type(c) for c in expected.terms.values()
+        }
+
+
+def test_the_level_by_level_oracle_finds_an_asymmetric_table(monkeypatch):
+    # A doubled p_*(x^2) halves row 2 of level 2 and leaves column 2 alone.
+    def top_power(f, a):
+        return not f.is_immersion and a.terms == {(2, 0): 1}
+
+    _tamper(monkeypatch, "pushforward", top_power, _doubled)
+    with pytest.raises(
+        SolverInconsistent, match=r"^diagonal table for n=2 is not symmetric at \(0, 2\)$"
+    ):
+        _diagonal_by_levels(CHOW_Q, 3)
+
+
+@pytest.mark.parametrize("theory", DIAGONAL_THEORIES.values(), ids=DIAGONAL_THEORIES)
+def test_diagonal_makes_a_fixed_number_of_pushforwards_and_pullbacks(theory, monkeypatch):
+    # Two moment pushforwards (P^n and P^(n-1)), the normalization, the
+    # P^(n-1) class pushed into the second factor, and one restriction,
+    # whatever n is; the point has no hyperplane to restrict to.
+    calls = Counter()
+    for name in ("pushforward", "pullback"):
+
+        def counted(theory, f, a, real=getattr(theories, name), name=name):
+            calls[name] += 1
+            return real(theory, f, a)
+
+        monkeypatch.setattr(theories, name, counted)
+    for n in (0, 1, 6, 12):
+        calls.clear()
+        diagonal_class(theory, n)
+        assert calls == ({"pushforward": 4, "pullback": 1} if n else {"pushforward": 2})
 
 
 # ---------------------------------------------------------------- closed forms in beta
@@ -1411,7 +1505,7 @@ def test_point_pushforward_is_a_power_of_beta(theory, beta):
 @BY_BETA
 def test_diagonal_matches_the_closed_form(theory, beta):
     # sum_{r+s=n} x^r y^s - beta * sum_{r+s=n+1} x^r y^s
-    for n in (*range(9), 40, 64):
+    for n in (*range(9), 40, 64, MAX_DIAGONAL_DIM):
         expected = {(r, n - r): 1 for r in range(n + 1)}
         if beta:
             expected.update({(r, n + 1 - r): -beta for r in range(1, n + 1)})
