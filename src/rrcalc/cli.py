@@ -59,8 +59,9 @@ from .theories import (
     twist_theory,
 )
 
-# Highest `verify twist-law --order`: 0.12-0.16 s on a 2-vCPU Xeon host, 30 ms of
-# it the law; the law takes 0.3 s at 56 and 3.6 s at 112, roughly order^3.5.
+# Highest `verify twist-law --order`: 0.07-0.08 s from bytecode, 0.11-0.14 s
+# compiling the sources, on a 2-vCPU Xeon host in its fast mode, 13 ms of it the
+# law; in process the law takes 0.10-0.12 s at 56 and 2.1-2.4 s at 112.
 MAX_TWIST_LAW_ORDER = 28
 # Highest `ch --order`: 0.8-1.0 s with as many symbols as the order (34: 1.3-1.9 s).
 MAX_CH_ORDER = 32
@@ -76,10 +77,10 @@ MAX_TWIST = 10**6
 # Highest --dim per command, with its time at the bound and one step up, for
 # one process including about 0.15 s of interpreter start and imports:
 # chi pn 0.13-0.14 s (100: 0.20-0.37 s); verify grr 0.11-0.13 s with
-# --immersion 59 (70: 0.14-0.19 s, 80: 0.17-0.26 s); diagonal 0.24-0.25 s
-# in chow and 0.25-0.27 s in k from bytecode, 0.20-0.28 s and 0.18-0.31 s
-# compiling the sources (240: 0.28 s in both from bytecode, 0.26-0.34 s and
-# 0.32-0.41 s compiling); adjunction 0.21-0.34 s (100: 0.35-0.58 s).
+# --immersion 59 (70: 0.14-0.19 s, 80: 0.17-0.26 s); diagonal 0.08-0.09 s
+# in chow and k from bytecode, 0.10-0.13 s compiling the sources, with the
+# host in its fast mode (240, the bound lifted in process: 0.19-0.25 s from
+# bytecode); adjunction 0.21-0.34 s (100: 0.35-0.58 s).
 MAX_CHI_PN_DIM = 80
 MAX_GRR_DIM = 60
 MAX_DIAGONAL_DIM = 200

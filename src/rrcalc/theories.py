@@ -17,8 +17,9 @@ monomial table, and conjugates the group law by e(x) = x*F(x).  Every theory
 keeps its law as a coefficient table F[i, l], c1(L tensor L') = sum
 F[i, l] c1(L)^i c1(L')^l: the constant x + y - beta*xy untwisted, and
 exp_T(log_T u + log_T v) once twisted, built per theory through the
-largest degree a law has asked for, from one reversion of the
-conjugator's head through that degree.  The universal
+largest degree a law has asked for from exp_T's head through that
+degree: one series inverse gives the row recurrence of the powers of
+log_T, so nothing is reverted.  The universal
 morphism t_i |-> 1 - e^(-h_i) identifies the multiplicative model with
 the additive one over the rationals; its graded leading term is
 exposed separately.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from .bundles import BundleClass, whitney_difference
@@ -46,7 +47,6 @@ from .rings import (
 )
 from .series import (
     TruncatedSeries,
-    _log_ratio,
     _powers,
     _record,
     _unit_power,
@@ -130,10 +130,11 @@ class TheoryModel:
     def _law_table(self, degree: int) -> dict[tuple[int, int], Scalar]:
         """The nonzero F[i, l] of the theory's law, at least for i + l <= degree.
 
-        Untwisted: x + y - beta*x*y.  Twisted: built by `_law_coefficients`
-        from `_logarithm(degree)`, so only the conjugator's head through
-        t^degree is reverted, and built again, reversion included, only for
-        a larger degree.  Degree 0 (a point ring) has no entry to build.
+        Untwisted: x + y - beta*x*y.  Twisted: `_law_from_exponential` of
+        exp_T through t^degree (`_exponential`), so only the conjugator's
+        head through t^degree is read, with no reversion, and built again
+        only for a larger degree.  Degree 0 (a point ring) has no entry to
+        build.
         """
         if self.twist is None:
             return _UNTWISTED_LAWS[self.beta]
@@ -141,34 +142,30 @@ class TheoryModel:
         if built is None or built[0] < degree:
             # Kept in the instance __dict__, which holds no field, so it
             # stays out of the record's ==, hash and repr.
-            table = _law_coefficients(*self._logarithm(degree), degree) if degree else {}
+            table = _law_from_exponential(self._exponential(degree), degree) if degree else {}
             built = self.__dict__["_built_law"] = (degree, table)
         return built[1]
 
-    def _logarithm(self, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-        """(log_T, exp_T) of the twisted law F(u, v) = exp_T(log_T u + log_T v), at `order`.
+    def _exponential(self, order: int) -> list[Fraction]:
+        """exp_T of the twisted law F(u, v) = exp_T(log_T u + log_T v), through t^order.
 
         `order` runs from 1 to the conjugator's order N.  The law is
         e(g(u) +_beta g(v)) with e(x) = x * twist(x) and g its reversion,
-        and x +_1 y = x + y - xy has logarithm -log(1 - x) and exponential
-        1 - e^(-s); so log_T = g at beta 0 and -log(1 - g) at beta 1, read
-        as `series._log_ratio` of 1 - g, exp_T = e or e(1 - e^(-s)).  The
-        latter is sum_r e_r * (1 - e^(-s))^r, the rows of
-        `_character_images(order)`, so no series is composed.
+        and x +_1 y = x + y - xy has exponential 1 - e^(-s); so exp_T = e
+        at beta 0 and e(1 - e^(-s)) at beta 1.  The latter is
+        sum_r e_r * (1 - e^(-s))^r, the rows of `_character_images(order)`,
+        so no series is composed.
         """
-        conjugator = self.twist.times_t().truncated(order)
-        inverse = conjugator.reversion()
+        conjugator = [Fraction(0), *self.twist.coefficients[:order]]
         if not self.beta:
-            return inverse, conjugator
-        complement = [Fraction(1)] + [-c for c in inverse.coefficients[1:]]  # 1 - g
+            return conjugator
         rows, denominator = _character_images(order)
-        e, scale = common_denominator(conjugator.coefficients)
+        e, scale = common_denominator(conjugator)
         exponential = [0] * (order + 1)
         for c, row in zip(e, rows):
             for f, w in row:
                 exponential[f] += c * w
-        exponential = [Fraction(c, scale * denominator) for c in exponential]
-        return -_log_ratio(complement, order), TruncatedSeries(exponential)
+        return [Fraction(c, scale * denominator) for c in exponential]
 
     def group_law(self, order: int) -> RingElement:
         """F(u, v) in scalars[u, v]/(u^(order+1), v^(order+1)): `law` at u and v.
@@ -184,41 +181,48 @@ class TheoryModel:
 _UNTWISTED_LAWS = ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1, (1, 1): -1})
 
 
-def _law_coefficients(
-    logarithm: TruncatedSeries, exponential: TruncatedSeries, n: int
-) -> dict[tuple[int, int], Fraction]:
-    """The nonzero [u^i v^l] exponential(logarithm(u) + logarithm(v)), i + l <= n.
+def _law_from_exponential(exponential: list[Fraction], n: int) -> dict[tuple[int, int], Fraction]:
+    """The nonzero [u^i v^l] exp_T(log_T u + log_T v), i + l <= n, from exp_T alone.
 
-    With divided powers Q_j = logarithm^j / j! and A_k = k! * [s^k]
-    exponential, F[i, l] = sum_(j, m) [u^i] Q_j * A_(j+m) * [v^l] Q_m, a
-    Hankel form on the columns of Q.  The n powers and the two contractions
-    take O(n^3) integer multiply-adds on numerators over one denominator,
-    and one Fraction per nonzero entry.  F is symmetric, so only the rows
-    i <= l are contracted and each entry is written at (i, l) and (l, i).
+    log_T is the compositional inverse of exp_T, so its powers form a
+    Riordan array: D[i][j] = [x^i] log_T^j has D[0][0] = 1 and
+    D[i+1][j+1] = sum_k a_k * D[i][j+k], with the A-sequence
+    a = 1/(exp_T/x), one `series._unit_power` (Merlini, Rogers, Sprugnoli
+    & Verri, "On some alternative characterizations of Riordan arrays",
+    Canad. J. Math. 49, 1997).  Each row of D is integer numerators over
+    one denominator, its content divided out; column 1 is log_T, which is
+    never formed otherwise.  With divided powers Q_j = log_T^j / j! and
+    A_k = k! * [s^k] exp_T, F[i, l] = sum_(j, m) [u^i] Q_j * A_(j+m) *
+    [v^l] Q_m, a Hankel form on the rows of D.  The rows and the two
+    contractions take O(n^3) integer multiply-adds, and one Fraction per
+    nonzero entry.  F is symmetric, so only the rows i <= l are contracted
+    and each entry is written at (i, l) and (l, i).
     """
-    powers = _powers(common_denominator(logarithm.coefficients[: n + 1]), n, n)
-    scales = [d * factorial(j) for j, (_, d) in enumerate(powers)]
-    common = lcm(*scales)
-    # columns[i][j] = [u^i] Q_j * common, nonzero only for j <= i.
-    columns = [
-        [p[i] * (common // s) for (p, _), s in zip(powers[: i + 1], scales)] for i in range(n + 1)
-    ]
-    hankel, denominator = common_denominator(
-        [c * factorial(k) for k, c in enumerate(exponential.coefficients[: n + 1])]
-    )
-    # halves[i][m] = sum_j [u^i] Q_j * A_(j+m), over denominator * common,
+    _, a, scale = _unit_power(exponential[1:], -1)
+    factorials = [factorial(k) for k in range(n + 1)]
+    # D[i] = row / d; rows[i][j] = [u^i] Q_j * denominators[i] = D[i][j] * d * i! / j!.
+    rows, denominators, row, d = [[1]], [1], [1], 1
+    for i in range(1, n + 1):
+        row = [0] + [sum(map(mul, a, row[j:])) for j in range(i)]  # over d * scale
+        content = gcd(d * scale, *row)
+        row, d = [c // content for c in row], d * scale // content
+        rows.append([c * (factorials[i] // f) for c, f in zip(row, factorials)])
+        denominators.append(d * factorials[i])
+    hankel, denominator = common_denominator(list(map(mul, exponential, factorials)))
+    # halves[i][m] = sum_j [u^i] Q_j * A_(j+m), over denominator * denominators[i],
     # for the rows i <= n - i that an entry with i <= l reads.
     halves = [
-        [sum(map(mul, hankel[m : m + i + 1], columns[i])) for m in range(n - i + 1)]
+        [sum(map(mul, hankel[m : m + i + 1], rows[i])) for m in range(n - i + 1)]
         for i in range(n // 2 + 1)
     ]
-    denominator *= common * common
     table = {}
     for i, half in enumerate(halves):
         for l in range(i, n - i + 1):
-            total = sum(map(mul, half[: l + 1], columns[l]))
+            total = sum(map(mul, half[: l + 1], rows[l]))
             if total:
-                table[i, l] = table[l, i] = Fraction(total, denominator)
+                table[i, l] = table[l, i] = Fraction(
+                    total, denominator * denominators[i] * denominators[l]
+                )
     return table
 
 
@@ -557,35 +561,20 @@ class MetricReport:
 def metric_check(theory: TheoryModel, n: int) -> MetricReport:
     """The (n+1)x(n+1) diagonal coefficient matrix and whether it is a unit.
 
-    Over the integers the flag asks for determinant +-1; over the
-    rationals, merely nonzero.
+    The matrix is zero where r + s < n, checked here, so its determinant
+    is (-1)^(n(n+1)/2) * prod_r M[r, n - r], with no elimination: an int
+    over the integers, a Fraction over the rationals.  Over the integers
+    the flag asks for determinant +-1; over the rationals, merely nonzero.
     """
     terms = diagonal_class(theory, n).terms
+    if any(r + s < n for r, s in terms):
+        raise SolverInconsistent(f"the diagonal class has a term below degree {n}")
     matrix = tuple(tuple(terms.get((r, s), 0) for s in range(n + 1)) for r in range(n + 1))
-    determinant = _determinant([list(row) for row in matrix])
+    sign = Fraction((-1) ** (n * (n + 1) // 2))
+    determinant = prod((row[n - r] for r, row in enumerate(matrix)), start=sign)
     if theory.scalars == INTEGERS:
         determinant = int(determinant)
         unit = determinant in (1, -1)
     else:
         unit = determinant != 0
     return MetricReport(matrix, determinant, unit)
-
-
-def _determinant(matrix: list[list[Scalar]]) -> Fraction:
-    size = len(matrix)
-    rows = [[Fraction(c) for c in row] for row in matrix]
-    result = Fraction(1)
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            result = -result
-        pivot = rows[col][col]
-        result *= pivot
-        for r in range(col + 1, size):
-            if rows[r][col] != 0:
-                scale = rows[r][col] / pivot
-                rows[r] = [a - scale * b for a, b in zip(rows[r], rows[col])]
-    return result

@@ -4,6 +4,8 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import factorial, lcm
+from operator import mul
 
 import pytest
 
@@ -125,23 +127,26 @@ def reversion_calls(monkeypatch):
     return calls
 
 
-def test_twisted_law_reverts_once_per_built_degree(reversion_calls):
+def test_twisted_law_builds_once_per_larger_degree_without_reversion(
+    reversion_calls, monkeypatch
+):
+    builds = _counting(monkeypatch, theories, "_law_from_exponential")
     tw = twist_theory(CHOW, exp_deficit_series(10))
-    conjugator = tw.twist.times_t()
-    assert reversion_calls == []  # built lazily, on the first law
+    assert builds == []  # built lazily, on the first law
     x = ring_of(tw, (0,)).zero()
     assert tw.law(x, x) == x
-    assert reversion_calls == []  # a point ring reads no entry
+    assert builds == []  # a point ring reads no entry
     tw.group_law(4)  # reads the table through degree 8
     a, b = ring_of(tw, (2, 3)).generators()
     assert tw.law(a, b) == tw.law(b, a)
     assert tw.law(a + b, a * b) == tw.law(a * b, a + b)
-    assert reversion_calls == [conjugator.truncated(8)]
+    assert [n for _, n in builds] == [8]
     # A larger degree builds the table again, once.
     c, d = ring_of(tw, (5, 5)).generators()
     assert tw.law(c, d) == tw.law(d, c)
     tw.group_law(3)
-    assert reversion_calls == [conjugator.truncated(8), conjugator.truncated(10)]
+    assert [n for _, n in builds] == [8, 10]
+    assert reversion_calls == []  # no build reverts
 
 
 @pytest.mark.parametrize("theory", [CHOW, K_THEORY], ids=["chow", "ktheory"])
@@ -372,6 +377,92 @@ def test_law_tables_are_symmetric_with_unit_rows(base):
         assert all(i + l <= order + 1 and c != 0 for (i, l), c in table.items())
         # F(u, 0) = u: the only entry without v is u itself.
         assert {(i, l): c for (i, l), c in table.items() if l == 0} == {(1, 0): 1}
+
+
+# The route `_law_table` took before the row recurrence: revert the
+# conjugator's head for log_T (at beta = 1, -log(1 - g) by the log kernel),
+# then n truncated powers of log_T and the same Hankel contraction.
+def _logarithm_by_reversion(theory, order):
+    conjugator = theory.twist.times_t().truncated(order)
+    inverse = conjugator.reversion()
+    if not theory.beta:
+        return inverse, conjugator
+    complement = [Fraction(1)] + [-c for c in inverse.coefficients[1:]]  # 1 - g
+    rows, denominator = theories._character_images(order)
+    e, scale = series.common_denominator(conjugator.coefficients)
+    exponential = [0] * (order + 1)
+    for c, row in zip(e, rows):
+        for f, w in row:
+            exponential[f] += c * w
+    exponential = [Fraction(c, scale * denominator) for c in exponential]
+    return -series._log_ratio(complement, order), TruncatedSeries(exponential)
+
+
+def _law_by_reversion(theory, n):
+    if not n:
+        return {}
+    logarithm, exponential = _logarithm_by_reversion(theory, n)
+    powers = series._powers(series.common_denominator(logarithm.coefficients[: n + 1]), n, n)
+    scales = [d * factorial(j) for j, (_, d) in enumerate(powers)]
+    common = lcm(*scales)
+    # columns[i][j] = [u^i] Q_j * common, Q_j = logarithm^j / j!.
+    columns = [
+        [p[i] * (common // s) for (p, _), s in zip(powers[: i + 1], scales)] for i in range(n + 1)
+    ]
+    hankel, denominator = series.common_denominator(
+        [c * factorial(k) for k, c in enumerate(exponential.coefficients[: n + 1])]
+    )
+    halves = [
+        [sum(map(mul, hankel[m : m + i + 1], columns[i])) for m in range(n - i + 1)]
+        for i in range(n // 2 + 1)
+    ]
+    denominator *= common * common
+    table = {}
+    for i, half in enumerate(halves):
+        for l in range(i, n - i + 1):
+            total = sum(map(mul, half[: l + 1], columns[l]))
+            if total:
+                table[i, l] = table[l, i] = Fraction(total, denominator)
+    return table
+
+
+def test_law_table_matches_the_reversion_route_on_seeded_twists():
+    rng = random.Random(2701)
+    for base, constant, dense, order in itertools.product(
+        (CHOW, K_THEORY), (1, -1, Fraction(2, 3), 3), (True, False), range(14)
+    ):
+        twist = _seeded_twist(rng, constant, order, dense)
+        for degree in range(order + 2):  # 0 .. 14: up to the conjugator's order
+            theory = twist_theory(base, twist)
+            assert theory._law_table(degree) == _law_by_reversion(theory, degree), (twist, degree)
+
+
+@pytest.mark.parametrize("base", [CHOW, K_THEORY], ids=["chow", "ktheory"])
+def test_deficit_law_table_matches_the_reversion_route_at_even_degrees(base):
+    for k in range(29):
+        theory = twist_theory(base, exp_deficit_series(2 * k))
+        assert theory._law_table(2 * k) == _law_by_reversion(theory, 2 * k), k
+
+
+def _chi_y_twist(y, order):
+    """1/Q_y with Q_y(x) = todd((1 + y) x) - y x: Hirzebruch's chi_y genus."""
+    q = [c * (1 + y) ** k for k, c in enumerate(todd_series(order).coefficients)]
+    q[1] -= y
+    return TruncatedSeries(q).inverse()
+
+
+@pytest.mark.parametrize("n", [28, 56])
+def test_chi_y_law_table_has_its_closed_form(n):
+    # F_y(u, v) = (u + v + (y - 1) uv) / (1 + y uv), a closed form that
+    # shares no code with the table: F[k+1, k] = F[k, k+1] = (-y)^k,
+    # F[k+1, k+1] = (y - 1)(-y)^k, and every other entry is 0.
+    for y in (0, 1, 2, Fraction(-1, 3), -1, Fraction(5, 7)):
+        expected = {}
+        for k in range(n // 2 + 1):
+            power = (-y) ** k
+            entries = {(k + 1, k): power, (k, k + 1): power, (k + 1, k + 1): (y - 1) * power}
+            expected.update((key, c) for key, c in entries.items() if sum(key) <= n and c)
+        assert twist_theory(CHOW_Q, _chi_y_twist(y, n))._law_table(n) == expected, y
 
 
 def test_twisted_law_never_evaluates_a_series(monkeypatch):
@@ -996,7 +1087,7 @@ def test_multiplicative_extension_never_composes(monkeypatch):
     assert calls == []
 
 
-# The beta = 1 logarithm as `_logarithm` read it before the log kernel:
+# The beta = 1 logarithm as the reversion route read it before the log kernel:
 # -log(1 - g) = sum g^k / k, composed with the reverted conjugator g.
 def _k_logarithm_by_composition(theory):
     inverse = theory.twist.times_t().reversion()
@@ -1005,8 +1096,8 @@ def _k_logarithm_by_composition(theory):
     return minus_log.compose(inverse)
 
 
-# Its exponential 1 - e^(-s) composed into the conjugator, as `_logarithm`
-# read it before the character rows.
+# Its exponential 1 - e^(-s) composed into the conjugator, as the reversion
+# route read it before the character rows.
 def _k_exponential_by_composition(theory):
     conjugator = theory.twist.times_t()
     return conjugator.compose(exp_deficit_series(conjugator.order - 1).times_t())
@@ -1020,10 +1111,15 @@ def test_k_logarithm_matches_the_composed_route():
         n = order + 1  # the conjugator's order
         logarithm = _k_logarithm_by_composition(theory)
         exponential = _k_exponential_by_composition(theory)
-        assert theory._logarithm(n) == (logarithm, exponential), order
+        assert _logarithm_by_reversion(theory, n) == (logarithm, exponential), order
+        assert theory._exponential(n) == list(exponential.coefficients), order
         # Cut at a lower order, both halves are the heads of the full ones.
         cut = rng.randint(1, n)
-        assert theory._logarithm(cut) == (logarithm.truncated(cut), exponential.truncated(cut))
+        assert _logarithm_by_reversion(theory, cut) == (
+            logarithm.truncated(cut),
+            exponential.truncated(cut),
+        )
+        assert theory._exponential(cut) == list(exponential.coefficients[: cut + 1])
 
 
 def test_a_used_twisted_theory_keeps_equality_hash_and_repr():
@@ -1537,6 +1633,46 @@ def test_metric_determinants():
             report = metric_check(theory, n)
             assert report.determinant == expected
             assert report.unit
+
+
+# The determinant `metric_check` took before the anti-diagonal product:
+# Gaussian elimination over Fractions.
+def _determinant(matrix):
+    size = len(matrix)
+    rows = [[Fraction(c) for c in row] for row in matrix]
+    result = Fraction(1)
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            result = -result
+        pivot = rows[col][col]
+        result *= pivot
+        for r in range(col + 1, size):
+            if rows[r][col] != 0:
+                scale = rows[r][col] / pivot
+                rows[r] = [a - scale * b for a, b in zip(rows[r], rows[col])]
+    return result
+
+
+@pytest.mark.parametrize("theory", DIAGONAL_THEORIES.values(), ids=DIAGONAL_THEORIES)
+def test_metric_determinant_matches_the_elimination(theory):
+    for n in range(13):
+        report = metric_check(theory, n)
+        expected = _determinant([list(row) for row in report.matrix])
+        if theory.scalars == INTEGERS:
+            expected = int(expected)
+        assert report.determinant == expected, n
+        assert type(report.determinant) is type(expected), n
+
+
+def test_metric_check_refuses_a_term_below_the_anti_diagonal(monkeypatch):
+    low = ring_of(CHOW, (2, 2)).element({(0, 1): 1, (2, 0): 1})
+    monkeypatch.setattr(theories, "diagonal_class", lambda theory, n: low)
+    with pytest.raises(SolverInconsistent, match="^the diagonal class has a term below degree 2$"):
+        metric_check(CHOW, 2)
 
 
 def test_metric_over_rationals_checks_nonvanishing():
