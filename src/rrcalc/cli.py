@@ -70,19 +70,23 @@ MAX_TODD_ORDER = 500
 # Most `ch --chern` symbols.  Symbols past --order get no generator, so 48
 # symbols cost what 32 do at `--order 32` (0.8-1.05 s).
 MAX_CH_SYMBOLS = 48
-# Largest |--twist| of `chi pn` and `verify grr`: adds under 0.01 s at the
-# largest --dim.  [O(m)] is one binomial row, so in process a twist of 10^100
-# takes 2 ms on P^20 and 10^1000 takes 6 ms there, 0.18 s on P^80.
+# Largest |--twist| of `chi pn` and `verify grr`: at the largest --dim, in
+# process, 10^6 adds 85-110 ms to chi pn (P^240) and 18-56 ms to verify grr
+# (P^160), most of it the universal morphism of the larger integers.  [O(m)]
+# is one binomial row, so a twist of 10^100 takes 2 ms on P^20 and 10^1000
+# takes 6 ms there, 0.18 s on P^80.
 MAX_TWIST = 10**6
 # Highest --dim per command, with its time at the bound and one step up, for
 # one process including about 0.15 s of interpreter start and imports:
-# chi pn 0.13-0.14 s (100: 0.20-0.37 s); verify grr 0.11-0.13 s with
-# --immersion 59 (70: 0.14-0.19 s, 80: 0.17-0.26 s); diagonal 0.08-0.09 s
+# chi pn 0.26-0.54 s from bytecode, 0.28-0.57 s compiling the sources, with
+# --twist 1000000 (280: 0.40-0.85 s, 0.42-0.90 s); verify grr 0.08-0.17 s
+# from bytecode, 0.11-0.21 s compiling, with --immersion 159 (0.14-0.32 s
+# with --twist -1000000 too; 200: 0.11-0.21 s, 0.13-0.26 s); diagonal 0.08-0.09 s
 # in chow and k from bytecode, 0.10-0.13 s compiling the sources, with the
 # host in its fast mode (240, the bound lifted in process: 0.19-0.25 s from
 # bytecode); adjunction 0.21-0.34 s (100: 0.35-0.58 s).
-MAX_CHI_PN_DIM = 80
-MAX_GRR_DIM = 60
+MAX_CHI_PN_DIM = 240
+MAX_GRR_DIM = 160
 MAX_DIAGONAL_DIM = 200
 MAX_ADJUNCTION_DIM = 80
 # Highest `sheaf-chern --codim`: 0.2-0.3 s; 384 takes 0.3-0.5 s, 512 0.5-0.65 s.

@@ -12,9 +12,9 @@ convolution, `_truncated_product`; every power f^k of a unit f, for any
 integer k, is one recurrence over a running lcm, `_unit_power`, O(n^2)
 whatever k is, and the inverse is its k = -1 case; the logarithm
 log(f/f(0)) is the integral of f' times that inverse, one more product
-(`_log_ratio`); reversion projects baby-step/giant-step powers of t/f,
-read off 1/(f/t) (Brent & Kung 1978), with about 2*sqrt(n) products,
-O(n^2.5).
+(`_log_ratio`); the powers g^j of a compositional inverse g of f come row
+by row from one inverse, 1/(f/t) (`_inverse_powers`), O(n^3), and
+reversion is their column j = 1.
 
 The module also holds `_record`, the immutable-record decorator every
 other module's value classes use, because every module imports this one.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Sequence
 from fractions import Fraction
-from math import factorial, gcd, isqrt, lcm
+from math import factorial, gcd, lcm
 from operator import attrgetter, mul
 
 Scalar = int | Fraction
@@ -132,23 +132,6 @@ def _truncated_product(left: list[int], right: list[int], n: int) -> list[int]:
     return out
 
 
-def _reduced_product(left, right, n: int) -> tuple[list[int], int]:
-    """Two (numerators, denominator) pairs multiplied, cut after t^n, content divided out."""
-    out, denominator = _truncated_product(left[0], right[0], n), left[1] * right[1]
-    content = gcd(denominator, *out)
-    if content > 1:
-        out, denominator = [a // content for a in out], denominator // content
-    return out, denominator
-
-
-def _powers(base, n: int, count: int) -> list[tuple[list[int], int]]:
-    """base^0 .. base^count as `_reduced_product` rows, each cut after t^n."""
-    powers = [([1] + [0] * n, 1)]
-    for _ in range(count):
-        powers.append(_reduced_product(powers[-1], base, n))
-    return powers
-
-
 def _unit_power(
     coefficients: Sequence[Fraction], k: int
 ) -> tuple[list[Fraction], list[int], int]:
@@ -198,6 +181,29 @@ def _log_ratio(coefficients: Sequence[Fraction], n: int) -> TruncatedSeries:
     derivative = [k * c for k, c in enumerate(q)][1:]
     quotient = _truncated_product(derivative, inverse, n - 1)
     return TruncatedSeries([0] + [Fraction(c, k * d * e) for k, c in enumerate(quotient, 1)])
+
+
+def _inverse_powers(coefficients: Sequence[Fraction], n: int) -> list[tuple[list[int], int]]:
+    """Rows i = 0..n of [t^i] g^j, j <= i, g the compositional inverse of f.
+
+    Only f_1..f_n are read, and f_1 must be nonzero.  The powers of g form
+    a Riordan array: D[i][j] = [t^i] g^j has D[0][0] = 1 and
+    D[i+1][j+1] = sum_k a_k * D[i][j+k], with the A-sequence a = 1/(f/t),
+    one `_unit_power` (Merlini, Rogers, Sprugnoli & Verri, "On some
+    alternative characterizations of Riordan arrays", Canad. J. Math. 49,
+    1997).  Row i is (numerators, d): D[i][j] = numerators[j] / d, with
+    the row's content divided out.  O(n^3) integer multiply-adds, and no
+    `Fraction` past the inverse.
+    """
+    _, a, scale = _unit_power(coefficients[1 : n + 1], -1)
+    rows = [([1], 1)]
+    for i in range(1, n + 1):
+        row, d = rows[-1]
+        row = [0] + [sum(map(mul, a, row[j:])) for j in range(i)]  # over d * scale
+        content = gcd(d * scale, *row)
+        row, d = [c // content for c in row], d * scale // content
+        rows.append((row, d))
+    return rows
 
 
 def _rational(value: Scalar) -> Fraction:
@@ -345,32 +351,16 @@ class TruncatedSeries:
     def reversion(self) -> "TruncatedSeries":
         """Compositional inverse g with self(g(t)) = g(self(t)) = t.
 
-        Lagrange inversion, [t^k] g = (1/k) * [t^(k-1)] q^k with q = t/self,
-        whose numerators are the power recurrence's 1/(self/t)
-        (`_unit_power` at k = -1).  With m = isqrt(n) and k = s*m + r,
-        0 <= r < m, that coefficient is one dot product of a baby power q^r
-        and a giant power q^(s*m): about m + n/m truncated products at
-        order n, O(n^2.5) in all.  Every power is integer numerators over
-        one denominator, divided by their content, with one Fraction per
-        output coefficient.
+        Column j = 1 of the Riordan rows of the powers of g
+        (`_inverse_powers`): O(n^3) integer multiply-adds and one Fraction
+        per output coefficient.
         """
         if self.coefficients[0] != 0:
             raise NotReversible("reversion needs zero constant term")
         if self.order < 1 or self.coefficients[1] == 0:
             raise NotReversible("reversion needs an invertible linear coefficient")
-        n = self.order
-        _, q, e = _unit_power(self.coefficients[1:], -1)
-        m = isqrt(n)
-        baby = _powers((q, e), n - 1, m)
-        giant = baby[0]
-        out = [Fraction(0)]
-        for k in range(1, n + 1):
-            r = k % m
-            if r == 0:  # q^(s*m) with s = k // m
-                giant = _reduced_product(giant, baby[m], n - 1)
-            (b, db), (g, dg) = baby[r], giant
-            out.append(Fraction(sum(map(mul, b[:k], g[k - 1 :: -1])), k * db * dg))
-        return TruncatedSeries(out)
+        rows = _inverse_powers(self.coefficients, self.order)
+        return TruncatedSeries([Fraction(0)] + [Fraction(row[1], d) for row, d in rows[1:]])
 
 
 def exponential_series(order: int) -> TruncatedSeries:

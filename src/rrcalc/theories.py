@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from math import factorial, prod
 from operator import mul
 
 from .bundles import BundleClass, whitney_difference
@@ -47,11 +47,10 @@ from .rings import (
 )
 from .series import (
     TruncatedSeries,
-    _powers,
+    _inverse_powers,
     _record,
     _unit_power,
     common_denominator,
-    exp_deficit_series,
 )
 
 Dims = tuple[int, ...]
@@ -184,28 +183,19 @@ _UNTWISTED_LAWS = ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1, (1, 1): -1})
 def _law_from_exponential(exponential: list[Fraction], n: int) -> dict[tuple[int, int], Fraction]:
     """The nonzero [u^i v^l] exp_T(log_T u + log_T v), i + l <= n, from exp_T alone.
 
-    log_T is the compositional inverse of exp_T, so its powers form a
-    Riordan array: D[i][j] = [x^i] log_T^j has D[0][0] = 1 and
-    D[i+1][j+1] = sum_k a_k * D[i][j+k], with the A-sequence
-    a = 1/(exp_T/x), one `series._unit_power` (Merlini, Rogers, Sprugnoli
-    & Verri, "On some alternative characterizations of Riordan arrays",
-    Canad. J. Math. 49, 1997).  Each row of D is integer numerators over
-    one denominator, its content divided out; column 1 is log_T, which is
-    never formed otherwise.  With divided powers Q_j = log_T^j / j! and
+    log_T is the compositional inverse of exp_T, so the rows of its powers
+    D[i][j] = [x^i] log_T^j are `series._inverse_powers` of exp_T, and
+    log_T is never formed.  With divided powers Q_j = log_T^j / j! and
     A_k = k! * [s^k] exp_T, F[i, l] = sum_(j, m) [u^i] Q_j * A_(j+m) *
     [v^l] Q_m, a Hankel form on the rows of D.  The rows and the two
     contractions take O(n^3) integer multiply-adds, and one Fraction per
     nonzero entry.  F is symmetric, so only the rows i <= l are contracted
     and each entry is written at (i, l) and (l, i).
     """
-    _, a, scale = _unit_power(exponential[1:], -1)
     factorials = [factorial(k) for k in range(n + 1)]
-    # D[i] = row / d; rows[i][j] = [u^i] Q_j * denominators[i] = D[i][j] * d * i! / j!.
-    rows, denominators, row, d = [[1]], [1], [1], 1
-    for i in range(1, n + 1):
-        row = [0] + [sum(map(mul, a, row[j:])) for j in range(i)]  # over d * scale
-        content = gcd(d * scale, *row)
-        row, d = [c // content for c in row], d * scale // content
+    # rows[i][j] = [u^i] Q_j * denominators[i], from D[i] = row / d.
+    rows, denominators = [], []
+    for i, (row, d) in enumerate(_inverse_powers(exponential, n)):
         rows.append([c * (factorials[i] // f) for c, f in zip(row, factorials)])
         denominators.append(d * factorials[i])
     hankel, denominator = common_denominator(list(map(mul, exponential, factorials)))
@@ -406,8 +396,10 @@ def _euler_correction(twist: TruncatedSeries, f: Morphism) -> tuple[list[int], i
 
     F(x)^(n - m) for an immersion of P^m in P^n, and (1/F)(x)^(d + 1) * F(0)
     for collapsing P^d: one power recurrence (`series._unit_power`) at
-    k = n - m or k = -(d + 1), the latter times F(0).  Both are integer
-    rows cut after x^top.  Only F through x^top is read, so F must reach it.
+    k = n - m or k = -(d + 1), the latter times F(0); at k = 1 F's own head
+    over the lcm of its denominators, as the recurrence gives it.  All are
+    integer rows cut after x^top.  Only F through x^top is read, so F must
+    reach it.
     """
     top = f.source[f.factor]
     if twist.order < top:
@@ -415,7 +407,8 @@ def _euler_correction(twist: TruncatedSeries, f: Morphism) -> tuple[list[int], i
         raise InsufficientOrder(f"series of order {n} is too short: a^0*b^{n + 1} != 0")
     head = twist.coefficients[: top + 1]
     if f.is_immersion:
-        return _unit_power(head, f.target[f.factor] - top)[1:]
+        k = f.target[f.factor] - top
+        return common_denominator(head) if k == 1 else _unit_power(head, k)[1:]
     _, c, d = _unit_power(head, -(top + 1))
     return [v * head[0].numerator for v in c], d * head[0].denominator
 
@@ -441,20 +434,26 @@ def _folded(images: Images, correction: list[int]) -> Images:
 def _character_images(d: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
     """(rows, D): row r holds each (f, N) with N / D = [h^f] (1 - e^(-h))^r != 0.
 
-    Row r is the image of t^r on P^d: the r-th power of one series
-    truncated at order d, so the table costs d integer products
-    (`series._powers`), once per d, and is kept as the nonzero numerators
-    over D, the lcm of the rows' denominators.  Row r has no entry with
-    f < r.  The universal morphism reads the rows as a matrix, and a
-    beta = 1 twisted law as the powers of 1 - e^(-s) in its exp_T.
+    Row r is the image of t^r on P^d.  Its entries are Stirling numbers of
+    the second kind: [h^f] (1 - e^(-h))^r = (-1)^(f - r) * r! * S(f, r) / f!
+    (Graham, Knuth & Patashnik, Concrete Mathematics, 6.1), so over
+    D = d! the numerator is U(f, r) * d! / f! with U(f, r) =
+    (-1)^(f - r) * r! * S(f, r), and S(f, r) = r * S(f-1, r) + S(f-1, r-1)
+    gives U(f, r) = r * (U(f-1, r-1) - U(f-1, r)): one integer column per
+    f, O(d^2) in all, once per d.  Row r has no entry with f < r.  The
+    universal morphism reads the rows as a matrix, and a beta = 1 twisted
+    law as the powers of 1 - e^(-s) in its exp_T.
     """
-    image = exp_deficit_series(d).times_t().truncated(d)
-    rows = _powers(common_denominator(image.coefficients), d, d)
-    denominator = lcm(*(e for _, e in rows))
-    images = tuple(
-        tuple((f, n * (denominator // e)) for f, n in enumerate(row) if n) for row, e in rows
-    )
-    return images, denominator
+    denominator = factorial(d)
+    rows = [[] for _ in range(d + 1)]
+    column, weight = [1], denominator  # column[r] = U(f, r), weight = d! / f!
+    for f in range(d + 1):
+        for r, u in enumerate(column):
+            if u:
+                rows[r].append((f, u * weight))
+        column = [0] + [r * (a - b) for r, (a, b) in enumerate(zip(column, column[1:] + [0]), 1)]
+        weight //= f + 1
+    return tuple(map(tuple, rows)), denominator
 
 
 def universal_morphism(a: RingElement) -> RingElement:

@@ -45,6 +45,9 @@ INVOCATIONS = [
     ["verify", "twist-law", "--order", "0"],
     ["chi", "pn", "--dim", "80", "--twist", "1000000"],
     ["verify", "grr", "--dim", "60", "--immersion", "59", "--twist", "-1000000"],
+    ["chi", "pn", "--dim", "240", "--twist", "1000000"],
+    ["verify", "grr", "--dim", "160", "--immersion", "159", "--twist", "-1000000"],
+    ["verify", "grr", "--dim", "160", "--twist", "1000000"],
 ]
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,7 +15,7 @@ from rrcalc.series import (
     exponential_series,
     todd_series,
 )
-from rrcalc.series import _unit_power
+from rrcalc.series import _inverse_powers, _unit_power, common_denominator
 
 
 def log_one_plus_series(order: int) -> TruncatedSeries:
@@ -159,6 +160,16 @@ def test_unit_power_matches_repeated_products_on_seeded_series():
         assert TruncatedSeries(value) == _unit_power_by_products(series, k), (case, k)
 
 
+def test_unit_power_at_one_is_the_series_over_its_common_denominator():
+    # What `theories._euler_correction` returns for a codimension-1 immersion.
+    rng = random.Random(1965)
+    constants = (1, -1, Fraction(3, 7), -2, Fraction(-5, 12))
+    for case in range(200):
+        series = _random_series(rng, case % 31, constants[case % len(constants)])
+        c = series.coefficients
+        assert _unit_power(c, 1) == (list(c), *common_denominator(c)), case
+
+
 def test_compose_hand_oracle():
     # f = 1 + t + t^2, g = 2t + t^2: f(g) = 1 + 2t + 5t^2 + 4t^3 + t^4,
     # truncated at the common order 2.
@@ -267,8 +278,8 @@ def test_reversion_matches_the_fraction_loop_on_seeded_series():
 
 @pytest.mark.parametrize("order", range(1, 41))
 def test_reversion_matches_the_fraction_loop_at_every_order(order):
-    # isqrt(order) sets the baby/giant split, so each perfect square and
-    # its neighbours change how the powers of t/f are paired.
+    # Every order from 1 to 40, so no row count of the power table is
+    # left out.
     rng = random.Random(2000 + order)
     for constant in (Fraction(1), Fraction(-3, 7), Fraction(5, 2)):
         coefficients = list(_random_series(rng, order, 0).coefficients)
@@ -278,6 +289,24 @@ def test_reversion_matches_the_fraction_loop_at_every_order(order):
         assert reverted.coefficients == _reversion_by_fractions(series).coefficients
         assert {type(c) for c in reverted.coefficients} == {Fraction}
         assert series.compose(reverted) == TruncatedSeries([0, 1], order)
+
+
+def test_inverse_powers_are_the_powers_of_the_reversion():
+    rng = random.Random(1997)
+    for case in range(120):
+        order = case % 20 + 1
+        coefficients = list(_random_series(rng, order, 0).coefficients)
+        coefficients[1] = Fraction(rng.choice([1, -1, 2, -3]), rng.randint(1, 5))
+        rows = _inverse_powers(coefficients, order)
+        assert len(rows) == order + 1
+        inverse = TruncatedSeries(coefficients).reversion()
+        power = TruncatedSeries([1], order)
+        for j in range(order + 1):
+            column = [Fraction(row[j], d) if j < len(row) else 0 for row, d in rows]
+            assert column == list(power.coefficients), (case, j)
+            power = power * inverse
+        for row, d in rows:
+            assert gcd(d, *row) == 1 and d > 0
 
 
 def test_reversion_needs_invertible_slope():
