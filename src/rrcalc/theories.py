@@ -396,10 +396,8 @@ def _euler_correction(twist: TruncatedSeries, f: Morphism) -> tuple[list[int], i
 
     F(x)^(n - m) for an immersion of P^m in P^n, and (1/F)(x)^(d + 1) * F(0)
     for collapsing P^d: one power recurrence (`series._unit_power`) at
-    k = n - m or k = -(d + 1), the latter times F(0); at k = 1 F's own head
-    over the lcm of its denominators, as the recurrence gives it.  All are
-    integer rows cut after x^top.  Only F through x^top is read, so F must
-    reach it.
+    k = n - m or k = -(d + 1), the latter times F(0).  Both are integer
+    rows cut after x^top.  Only F through x^top is read, so F must reach it.
     """
     top = f.source[f.factor]
     if twist.order < top:
@@ -407,8 +405,7 @@ def _euler_correction(twist: TruncatedSeries, f: Morphism) -> tuple[list[int], i
         raise InsufficientOrder(f"series of order {n} is too short: a^0*b^{n + 1} != 0")
     head = twist.coefficients[: top + 1]
     if f.is_immersion:
-        k = f.target[f.factor] - top
-        return common_denominator(head) if k == 1 else _unit_power(head, k)[1:]
+        return _unit_power(head, f.target[f.factor] - top)[1:]
     _, c, d = _unit_power(head, -(top + 1))
     return [v * head[0].numerator for v in c], d * head[0].denominator
 

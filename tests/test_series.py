@@ -15,7 +15,7 @@ from rrcalc.series import (
     exponential_series,
     todd_series,
 )
-from rrcalc.series import _inverse_powers, _unit_power, common_denominator
+from rrcalc.series import _inverse_powers, _unit_power
 
 
 def log_one_plus_series(order: int) -> TruncatedSeries:
@@ -158,16 +158,6 @@ def test_unit_power_matches_repeated_products_on_seeded_series():
         value, numerators, denominator = _unit_power(series.coefficients, k)
         assert [Fraction(c, denominator) for c in numerators] == value
         assert TruncatedSeries(value) == _unit_power_by_products(series, k), (case, k)
-
-
-def test_unit_power_at_one_is_the_series_over_its_common_denominator():
-    # What `theories._euler_correction` returns for a codimension-1 immersion.
-    rng = random.Random(1965)
-    constants = (1, -1, Fraction(3, 7), -2, Fraction(-5, 12))
-    for case in range(200):
-        series = _random_series(rng, case % 31, constants[case % len(constants)])
-        c = series.coefficients
-        assert _unit_power(c, 1) == (list(c), *common_denominator(c)), case
 
 
 def test_compose_hand_oracle():

@@ -4,7 +4,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from operator import mul
 
 import pytest
@@ -379,35 +379,20 @@ def test_law_tables_are_symmetric_with_unit_rows(base):
         assert {(i, l): c for (i, l), c in table.items() if l == 0} == {(1, 0): 1}
 
 
-def _powers_by_products(base, n, count):
-    """base^0 .. base^count, each cut after t^n, from one (numerators, denominator) pair.
-
-    The truncated-product table the library kept before the Riordan rows
-    and the Stirling recurrence: one integer convolution per power, each
-    row divided by its content.
-    """
-    powers = [([1] + [0] * n, 1)]
-    for _ in range(count):
-        (left, d), (right, e) = powers[-1], base
-        out, denominator = series._truncated_product(left, right, n), d * e
-        content = gcd(denominator, *out)
-        powers.append(([a // content for a in out], denominator // content))
-    return powers
-
-
 @pytest.mark.parametrize("d", [0, 1, 2, 5, 17, 60, 80])
 def test_character_matrix_matches_the_powers_of_one_minus_exp(d):
     # Row r is (1 - e^(-h))^r through h^d, here as d truncated products.
     image = exp_deficit_series(d).times_t().truncated(d)
-    powers = _powers_by_products(series.common_denominator(image.coefficients), d, d)
     rows, denominator = theories._character_images(d)
     assert len(rows) == d + 1
-    for r, (row, (power, e)) in enumerate(zip(rows, powers)):
+    power = TruncatedSeries([1], d)
+    for r, row in enumerate(rows):
         entries = dict(row)
         assert len(entries) == len(row) and all(entries.values()), r
-        assert [Fraction(entries.get(f, 0), denominator) for f in range(d + 1)] == [
-            Fraction(c, e) for c in power
-        ], r
+        assert [Fraction(entries.get(f, 0), denominator) for f in range(d + 1)] == list(
+            power.coefficients
+        ), r
+        power = power * image
 
 
 # The route `_law_table` took before the row recurrence: revert the
@@ -433,7 +418,10 @@ def _law_by_reversion(theory, n):
     if not n:
         return {}
     logarithm, exponential = _logarithm_by_reversion(theory, n)
-    powers = _powers_by_products(series.common_denominator(logarithm.coefficients[: n + 1]), n, n)
+    head, power, powers = logarithm.truncated(n), TruncatedSeries([1], n), []
+    for _ in range(n + 1):
+        powers.append(series.common_denominator(power.coefficients))
+        power = power * head
     scales = [d * factorial(j) for j, (_, d) in enumerate(powers)]
     common = lcm(*scales)
     # columns[i][j] = [u^i] Q_j * common, Q_j = logarithm^j / j!.
@@ -1030,23 +1018,6 @@ def test_collapse_correction_matches_the_squared_inverse():
         assert denominator > 0
         expected = _collapse_correction_by_products(twist, d)
         assert [Fraction(v, denominator) for v in c] == expected, case
-
-
-def test_codimension_one_correction_is_the_power_recurrence_at_one():
-    # F^1 skips the recurrence; its row and denominator are the recurrence's,
-    # and the pushforward still matches the ring-product route.
-    rng = random.Random(1966)
-    for case in range(120):
-        m = case % 30
-        constant = rng.choice((1, -1, Fraction(2, 3), -3, Fraction(-1, 2)))
-        twist = _seeded_twist(rng, constant, m + rng.randint(0, 2), case % 2 == 0)
-        correction = theories._euler_correction(twist, linear_immersion(CHOW, m, m + 1))
-        assert correction == tuple(series._unit_power(twist.coefficients[: m + 1], 1)[1:]), case
-        if m <= 8:
-            tw = twist_theory(TheoryModel(case % 2, RATIONALS), twist)
-            f = linear_immersion(tw, m, m + 1, within=(m, 1))
-            a = acceptance._random_element(rng, ring_of(tw, f.source))
-            assert pushforward(tw, f, a) == _pushforward_by_ring_products(tw, f, a), case
 
 
 def test_folded_correction_matches_the_ring_product_route():
