@@ -59,10 +59,11 @@ from .theories import (
     twist_theory,
 )
 
-# Highest `verify twist-law --order`: 0.07-0.08 s from bytecode, 0.11-0.14 s
-# compiling the sources, on a 2-vCPU Xeon host in its fast mode, 13 ms of it the
-# law; in process the law takes 0.10-0.12 s at 56 and 2.1-2.4 s at 112.
-MAX_TWIST_LAW_ORDER = 28
+# Highest `verify twist-law --order`: 0.18-0.37 s compiling the sources on a
+# 2-vCPU Xeon host, median 0.20 s (0.10-0.19 s at 28, where the bound was;
+# 0.13-0.23 s at 56), 0.09-0.12 s of it the law; in process the law takes
+# 0.27-0.31 s at 112 and 1.5 s at 168.
+MAX_TWIST_LAW_ORDER = 84
 # Highest `ch --order`: 0.8-1.0 s with as many symbols as the order (34: 1.3-1.9 s).
 MAX_CH_ORDER = 32
 # Highest `todd --order`: 0.5-0.7 s; 600 takes 0.9-1.6 s and 1000 6.4-7.5 s.

@@ -22,7 +22,9 @@ packing.  `_eval_bivariate` is the one evaluation kernel: the group law
 calls it, `eval_series` is its one-row case, and it is the one place in
 this module that raises InsufficientOrder.  Weighted degrees of
 packed keys are read through `_weights`, straight off the keys' slots (a
-capped ring's weight slot holds the degree itself), with no table kept.
+capped ring's weight slot holds the degree itself), with no table kept;
+`_span` reads, in the same pass, the top degree an element's powers can
+reach, from the variables its keys use.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, lcm
-from operator import le, mul
+from operator import add, le, mul, or_
 from types import MappingProxyType
 
 from .series import Scalar, TruncatedSeries, _record, common_denominator
@@ -461,17 +463,46 @@ def _exponents(spec: RingSpec, keys: Iterable[int]) -> list[Exponents]:
 
 def _weights(spec: RingSpec, keys: Iterable[int]) -> list[int]:
     # Weighted degrees of packed keys, read off the keys one slot at a time
-    # for all keys.  A capped ring's weight slot is the top one, below its
-    # guard bit, and holds the weighted degree itself.
-    _, shifts, masks, offset, guard = spec._packing
+    # for all keys; a capped ring's weight slot holds the degree itself.
+    _, shifts, masks, offset, _ = spec._packing
     keys = [key - offset for key in keys]
     if spec.cap is not None:
-        top = guard.bit_length() - 1 - spec.cap.bit_length()
+        top = _weight_shift(spec)
         return [key >> top for key in keys]
     degrees = [0] * len(keys)
     for s, m, w in zip(shifts, masks, spec.weights):
         degrees = [d + (key >> s & m) * w for d, key in zip(degrees, keys)]
     return degrees
+
+
+def _weight_shift(spec: RingSpec) -> int:
+    # A capped ring's weight slot is the top one, right below its guard bit.
+    return spec._packing[4].bit_length() - 1 - spec.cap.bit_length()
+
+
+def _span(spec: RingSpec, table: Mapping[int, int]) -> tuple[int, int]:
+    """(lowest, reach): the least weighted degree of a packed table's keys, and
+    the top weighted degree of the variables they use, at most the cap.
+
+    Every power of the element lies between the two, so its n-th power is
+    zero once n * lowest > reach.  The used variables are the nonzero slots
+    of the keys OR-ed together; the degrees are read as in `_weights`, in
+    the same pass and from the used slots only.  The zero table gives
+    (total_degree + 1, 0).
+    """
+    if not table:
+        return spec.total_degree + 1, 0
+    _, shifts, masks, offset, _ = spec._packing
+    keys = [key - offset for key in table]
+    used, reach, degrees = reduce(or_, keys), 0, [0] * len(keys)
+    for s, m, w, d in zip(shifts, masks, spec.weights, spec.bounds):
+        if used >> s & m:
+            reach += w * d
+            if spec.cap is None:
+                degrees = [e + (key >> s & m) * w for e, key in zip(degrees, keys)]
+    if spec.cap is not None:
+        return min(keys) >> _weight_shift(spec), min(reach, spec.cap)
+    return min(degrees), reach
 
 
 def _substituted(
@@ -591,7 +622,7 @@ def eval_series(series: TruncatedSeries, argument: RingElement) -> RingElement:
     """
     coefficients = series.coefficients
     return _eval_bivariate(
-        lambda degree: {(0, n): c for n, c in enumerate(coefficients[: degree + 1]) if c},
+        lambda columns: {(0, n): c for n, c in enumerate(coefficients[: columns[0] + 1]) if c},
         series.order,
         argument.spec.zero(),
         argument,
@@ -607,14 +638,17 @@ def _eval_bivariate(
     """sum F[i, l] * a^i * b^l, for nilpotent a and b of one ring.
 
     a^i * b^l has weighted degree >= i*da + l*db, da and db the lowest
-    degrees of a and b, so it is zero above the ring's top degree.  Hence
-    `coefficients(degree)`, F's nonzero entries for i + l <= degree at
-    least, is asked with the largest i + l that can survive, and an entry
-    is read only when it passes this test and b^l != 0.  Over Z an entry
-    read must be an integer (IntegerDomain) unless a^i * b^l = 0, when it
-    is dropped; a^i is built only for such an entry.  The table is
-    exact through i + l <= `known` (None: at every degree); asked past
-    it, the kernel reads the entries up to `known` and then raises
+    degrees of a and b, so it is zero above the ring's top degree; and
+    a^i = 0 once i*da passes a's reach, the top degree of the variables a
+    uses (`_span`), b^l likewise.  Hence `coefficients(columns)` is asked
+    for the region i <= reach(a)//da, l <= reach(b)//db, i*da + l*db <= top:
+    row i of it is l <= columns[i], and the source returns a mapping holding
+    at least F's nonzero entries there.  An entry is read only when it lies
+    in the region and b^l != 0.  Over Z an entry read must be an integer
+    (IntegerDomain) unless a^i * b^l = 0, when it is dropped; a^i is built
+    only for such an entry.  The table is exact through i + l <= `known`
+    (None: at every degree); when the region passes it, the kernel asks
+    for and reads the entries up to `known` and then raises
     InsufficientOrder at the first a^i * b^l != 0 with i + l = known + 1.
     When all of those vanish, so does every a^i * b^l past them.
 
@@ -632,14 +666,25 @@ def _eval_bivariate(
             "series can only be evaluated at elements with zero constant term"
         )
     top = spec.total_degree
-    # The least weighted degrees of a's and b's monomials; above the top for 0.
-    da, db = (min(_weights(spec, x._table), default=top + 1) for x in (a, b))
-    degree = top // min(da, db)
-    past = known is not None and degree > known
+    (da, ra), (db, rb) = _span(spec, a._table), _span(spec, b._table)
+    # Row i of the region, i * da <= reach(a): l * db <= top - i * da, and
+    # l <= reach(b) // db.
+    room = range(top, top - ra - 1, -da)  # top - i * da
+    columns = list(room) if db == 1 else [c // db for c in room]
+    if columns[0] > rb // db:
+        columns = [min(rb // db, last) for last in columns]
+    past = (
+        known is not None
+        and top // min(da, db) > known  # at least the largest i + l
+        and max(map(add, columns, itertools.count())) > known
+    )
+    if past:
+        columns = [min(last, known - i) for i, last in enumerate(columns[: known + 1])]
+    height = len(columns)
     entries = [
         (i, l, c)
-        for (i, l), c in coefficients(known if past else degree).items()
-        if i * da + l * db <= top
+        for (i, l), c in coefficients(columns).items()
+        if i < height and l <= columns[i]
     ]
     powers = [({unit: 1}, 1)]  # b^0 .. b^l while nonzero, up to the largest l needed
     needed = known + 1 if past else max((l for _, l, _ in entries), default=0)

@@ -14,7 +14,8 @@ whatever k is, and the inverse is its k = -1 case; the logarithm
 log(f/f(0)) is the integral of f' times that inverse, one more product
 (`_log_ratio`); the powers g^j of a compositional inverse g of f come row
 by row from one inverse, 1/(f/t) (`_inverse_powers`), O(n^3), and
-reversion is their column j = 1.
+reversion is their column j = 1; `_riordan_rows` extends such rows in
+place, so a caller that keeps them builds each row once.
 
 The module also holds `_record`, the immutable-record decorator every
 other module's value classes use, because every module imports this one.
@@ -191,18 +192,27 @@ def _inverse_powers(coefficients: Sequence[Fraction], n: int) -> list[tuple[list
     D[i+1][j+1] = sum_k a_k * D[i][j+k], with the A-sequence a = 1/(f/t),
     one `_unit_power` (Merlini, Rogers, Sprugnoli & Verri, "On some
     alternative characterizations of Riordan arrays", Canad. J. Math. 49,
-    1997).  Row i is (numerators, d): D[i][j] = numerators[j] / d, with
-    the row's content divided out.  O(n^3) integer multiply-adds, and no
-    `Fraction` past the inverse.
+    1997), and the rows follow by `_riordan_rows`.
     """
     _, a, scale = _unit_power(coefficients[1 : n + 1], -1)
-    rows = [([1], 1)]
-    for i in range(1, n + 1):
+    return _riordan_rows([([1], 1)], a, scale, n)
+
+
+def _riordan_rows(
+    rows: list[tuple[list[int], int]], a: Sequence[int], scale: int, n: int
+) -> list[tuple[list[int], int]]:
+    """`rows`, the first rows of a Riordan array, extended in place through row n.
+
+    Row i is (numerators, d): D[i][j] = numerators[j] / d, with the row's
+    content divided out.  Row i + 1 is D[i+1][j+1] = sum_k a_k * D[i][j+k]
+    with the A-sequence a / scale, so it reads a_0..a_i, which `a` must
+    hold.  O(i^2) integer multiply-adds per row, and no `Fraction`.
+    """
+    for i in range(len(rows), n + 1):
         row, d = rows[-1]
         row = [0] + [sum(map(mul, a, row[j:])) for j in range(i)]  # over d * scale
         content = gcd(d * scale, *row)
-        row, d = [c // content for c in row], d * scale // content
-        rows.append((row, d))
+        rows.append(([c // content for c in row], d * scale // content))
     return rows
 
 

@@ -16,10 +16,11 @@ generator, a series in that generator alone, which is folded into the
 monomial table, and conjugates the group law by e(x) = x*F(x).  Every theory
 keeps its law as a coefficient table F[i, l], c1(L tensor L') = sum
 F[i, l] c1(L)^i c1(L')^l: the constant x + y - beta*xy untwisted, and
-exp_T(log_T u + log_T v) once twisted, built per theory through the
-largest degree a law has asked for from exp_T's head through that
-degree: one series inverse gives the row recurrence of the powers of
-log_T, so nothing is reverted.  The universal
+exp_T(log_T u + log_T v) once twisted, built per theory one entry at a
+time as laws ask for them: an entry F[i, l] reads the rows i and l of
+the powers of log_T (row l - 1 for i = 1) and exp_T's head through
+t^(i + l), and one series inverse gives the row recurrence of those
+powers, so nothing is reverted.  The universal
 morphism t_i |-> 1 - e^(-h_i) identifies the multiplicative model with
 the additive one over the rationals; its graded leading term is
 exposed separately.
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
-from operator import mul
+from math import factorial, inf, prod
+from operator import le, mul
 
 from .bundles import BundleClass, whitney_difference
 from .rings import (
@@ -47,8 +48,8 @@ from .rings import (
 )
 from .series import (
     TruncatedSeries,
-    _inverse_powers,
     _record,
+    _riordan_rows,
     _unit_power,
     common_denominator,
 )
@@ -115,35 +116,35 @@ class TheoryModel:
         theory's coefficient table F[i, l] (`_law_table`), evaluated by
         `rings._eval_bivariate`: Horner in a over G_i(b) = sum_l F[i, l] b^l,
         reading only the entries whose a^i * b^l can be nonzero, so a
-        twisted table is built only through the largest i + l that the
-        ring lets survive.  It is known for i + l <= N, the order of its
-        conjugator e(x) = x * twist(x).  Over the integers every entry
-        read must be an integer (IntegerDomain otherwise); after those reads,
-        InsufficientOrder names the first a^i * b^l != 0 with i + l = N + 1.
+        twisted table is built only over the region of i and l that the
+        ring and the arguments let survive.  It is known for i + l <= N,
+        the order of its conjugator e(x) = x * twist(x).  Over the integers
+        every entry read must be an integer (IntegerDomain otherwise); after
+        those reads, InsufficientOrder names the first a^i * b^l != 0 with
+        i + l = N + 1.
         """
         if a.spec != b.spec:
             raise SpecMismatch("group law arguments must share a ring")
         known = None if self.twist is None else self.twist.order + 1
         return _eval_bivariate(self._law_table, known, a, b)
 
-    def _law_table(self, degree: int) -> dict[tuple[int, int], Scalar]:
-        """The nonzero F[i, l] of the theory's law, at least for i + l <= degree.
+    def _law_table(self, columns: list[int]) -> dict[tuple[int, int], Scalar]:
+        """The nonzero F[i, l] of the theory's law, at least for l <= columns[i].
 
-        Untwisted: x + y - beta*x*y.  Twisted: `_law_from_exponential` of
-        exp_T through t^degree (`_exponential`), so only the conjugator's
-        head through t^degree is read, with no reversion, and built again
-        only for a larger degree.  Degree 0 (a point ring) has no entry to
-        build.
+        Untwisted: x + y - beta*x*y.  Twisted: the theory's one
+        `_TwistedLaw`, which computes the entries of that region it does
+        not hold yet, reading the conjugator's head only through the
+        largest i + l they reach, and returns all it holds.  A region with
+        no entry off row and column 0 (a point ring) builds nothing.
         """
         if self.twist is None:
             return _UNTWISTED_LAWS[self.beta]
         built = self.__dict__.get("_built_law")
-        if built is None or built[0] < degree:
+        if built is None:
             # Kept in the instance __dict__, which holds no field, so it
             # stays out of the record's ==, hash and repr.
-            table = _law_from_exponential(self._exponential(degree), degree) if degree else {}
-            built = self.__dict__["_built_law"] = (degree, table)
-        return built[1]
+            built = self.__dict__["_built_law"] = _TwistedLaw()
+        return built.extended(self, columns)
 
     def _exponential(self, order: int) -> list[Fraction]:
         """exp_T of the twisted law F(u, v) = exp_T(log_T u + log_T v), through t^order.
@@ -170,7 +171,8 @@ class TheoryModel:
         """F(u, v) in scalars[u, v]/(u^(order+1), v^(order+1)): `law` at u and v.
 
         Its coefficients are the table entries F[i, l] with i, l <= order,
-        so a twisted table must reach degree 2*order.
+        so a twisted table reads the rows of log_T's powers through order
+        and exp_T through 2*order.
         """
         spec = RingSpec(("u", "v"), (order, order), self.scalars)
         return self.law(spec.generator(0), spec.generator(1))
@@ -180,40 +182,110 @@ class TheoryModel:
 _UNTWISTED_LAWS = ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1, (1, 1): -1})
 
 
-def _law_from_exponential(exponential: list[Fraction], n: int) -> dict[tuple[int, int], Fraction]:
-    """The nonzero [u^i v^l] exp_T(log_T u + log_T v), i + l <= n, from exp_T alone.
+class _TwistedLaw:
+    """The entries of exp_T(log_T u + log_T v) computed so far, extended on demand.
 
     log_T is the compositional inverse of exp_T, so the rows of its powers
-    D[i][j] = [x^i] log_T^j are `series._inverse_powers` of exp_T, and
-    log_T is never formed.  With divided powers Q_j = log_T^j / j! and
-    A_k = k! * [s^k] exp_T, F[i, l] = sum_(j, m) [u^i] Q_j * A_(j+m) *
-    [v^l] Q_m, a Hankel form on the rows of D.  The rows and the two
-    contractions take O(n^3) integer multiply-adds, and one Fraction per
-    nonzero entry.  F is symmetric, so only the rows i <= l are contracted
-    and each entry is written at (i, l) and (l, i).
+    D[i][j] = [x^i] log_T^j are a Riordan array with the A-sequence
+    a = 1/(exp_T/x) (`series._riordan_rows`), and log_T is never formed.
+    With divided powers Q_j = log_T^j / j! and A_k = k! * [s^k] exp_T,
+    F[i, l] = sum_(j, m) [u^i] Q_j * A_(j+m) * [v^l] Q_m, a Hankel form on
+    rows i and l of D.  F is symmetric, so only the entries i <= l are
+    contracted, each written at (i, l) and (l, i).  Row 0 of F is
+    F(0, v) = v and column 0 is F(u, 0) = u, known without any row of D.
+
+    What is held has the shape of a request: row i of F is known for
+    l <= held[i], and the shape is symmetric like F.  Nothing is built
+    before an entry needs it: exp_T, a and the Hankel vector are read
+    again only for a larger i + l (the degree); each row of D is built
+    once.  Row p's Hankel half, h[m] = sum_j [u^p] Q_j * A_(j+m) times
+    degree!/m!, is kept until the Hankel vector is read again; the factor
+    takes the 1/m! of Q_m, so an entry (p, l) is one dot product of the
+    half with row l of D: O(l) multiply-adds, and one Fraction if it is
+    nonzero.  Row 1 reads row l - 1 instead: D[l][m] = sum_k a_k *
+    D[l-1][m-1+k] for l >= 1, so its half folded with a, g[n] = sum_k a_k *
+    h[n+1-k], dotted with row l - 1 gives the entry, and a row-1 entry one
+    column past the rows built needs no new row.
     """
-    factorials = [factorial(k) for k in range(n + 1)]
-    # rows[i][j] = [u^i] Q_j * denominators[i], from D[i] = row / d.
-    rows, denominators = [], []
-    for i, (row, d) in enumerate(_inverse_powers(exponential, n)):
-        rows.append([c * (factorials[i] // f) for c, f in zip(row, factorials)])
-        denominators.append(d * factorials[i])
-    hankel, denominator = common_denominator(list(map(mul, exponential, factorials)))
-    # halves[i][m] = sum_j [u^i] Q_j * A_(j+m), over denominator * denominators[i],
-    # for the rows i <= n - i that an entry with i <= l reads.
-    halves = [
-        [sum(map(mul, hankel[m : m + i + 1], rows[i])) for m in range(n - i + 1)]
-        for i in range(n // 2 + 1)
-    ]
-    table = {}
-    for i, half in enumerate(halves):
-        for l in range(i, n - i + 1):
-            total = sum(map(mul, half[: l + 1], rows[l]))
-            if total:
-                table[i, l] = table[l, i] = Fraction(
-                    total, denominator * denominators[i] * denominators[l]
-                )
-    return table
+
+    __slots__ = ("degree", "a", "scale", "hankel", "ratios", "denominator", "halves", "folded",
+                 "rows", "held", "table")
+
+    def __init__(self):
+        self.degree = 0
+        self.rows: list[tuple[list[int], int]] = [([1], 1)]  # D[i] = numerators / d
+        self.held: list[float] = [inf]  # row 0 is held whole, every other row at l = 0
+        self.table: dict[tuple[int, int], Scalar] = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
+
+    def extended(self, theory: TheoryModel, columns: list[int]) -> dict[tuple[int, int], Scalar]:
+        """The table, holding at least every nonzero entry with l <= columns[i].
+
+        A held region is answered by comparing `columns` with `held`.
+        """
+        held = self.held
+        if len(held) < len(columns):
+            held += [0] * (len(columns) - len(held))
+        if not all(map(le, columns, held)):
+            self._grow(theory, columns)
+        return self.table
+
+    def _grow(self, theory: TheoryModel, columns: list[int]):
+        # The held shape becomes its union with the region and the region's
+        # transpose, whose row p ends at `last`, the last row of the region
+        # reaching column p; it reaches no row past columns[1].  Each row p
+        # whose new end q passes the diagonal is contracted from
+        # max(held[p] + 1, p) through q, and q falls as p rises.
+        height = len(columns)
+        n = max(height, columns[1] + 1)
+        shape = self.held + [0] * (n - len(self.held))
+        grow, degree, last = [], 0, height - 1
+        for p in range(1, n):
+            while last and columns[last] < p:
+                last -= 1
+            q = columns[p] if p < height and columns[p] > last else last
+            if q > shape[p]:
+                if q >= p:
+                    grow.append((p, max(shape[p] + 1, p), q))
+                    degree = max(degree, p + q)
+                shape[p] = q
+        if degree > self.degree:
+            exponential = theory._exponential(degree)
+            _, self.a, self.scale = _unit_power(exponential[1:], -1)
+            self.hankel, denominator = common_denominator(
+                [c * factorial(k) for k, c in enumerate(exponential)]
+            )
+            top = factorial(degree)
+            self.ratios = [top // factorial(m) for m in range(degree + 1)]
+            self.denominator = denominator * top
+            self.halves, self.folded = {}, []  # over the old Hankel vector
+            self.degree = degree
+        rows, table, halves, a = self.rows, self.table, self.halves, self.a
+        # Rows of D through the largest q that a row other than row 1 reads,
+        # q - 1 for row 1, and at least row 1 for its half; q falls as p rises.
+        top = max(grow[0][2] - (grow[0][0] == 1), grow[1][2] if grow[1:] else 1)
+        if top >= len(rows):
+            _riordan_rows(rows, a, self.scale, top)
+        for p, start, q in grow:
+            numerators, d = rows[p]
+            f = factorial(p)
+            if p not in halves:  # with row p of Q, Q_j * d * p!
+                halves[p] = [c * (f // factorial(j)) for j, c in enumerate(numerators)], []
+            row, half = halves[p]
+            if len(half) <= q:
+                hankel, ratios = self.hankel, self.ratios
+                for m in range(len(half), q + 1):
+                    half.append(sum(map(mul, hankel[m : m + p + 1], row)) * ratios[m])
+            vector, shift, scale = half, 0, self.denominator * d * f
+            if p == 1:  # g, over one more A-sequence scale, read against row l - 1
+                vector, shift, scale = self.folded, 1, scale * self.scale
+                for i in range(len(vector), q):
+                    vector.append(sum(map(mul, a[: i + 1], reversed(half[1 : i + 2]))))
+            for l in range(start, q + 1):
+                other, e = rows[l - shift]
+                total = sum(map(mul, vector, other))
+                if total:
+                    table[p, l] = table[l, p] = Fraction(total, scale * e)
+        self.held = shape
 
 
 CHOW = TheoryModel(0, INTEGERS)

@@ -48,6 +48,7 @@ INVOCATIONS = [
     ["chi", "pn", "--dim", "240", "--twist", "1000000"],
     ["verify", "grr", "--dim", "160", "--immersion", "159", "--twist", "-1000000"],
     ["verify", "grr", "--dim", "160", "--twist", "1000000"],
+    ["verify", "twist-law", "--order", "84"],
 ]
 
 

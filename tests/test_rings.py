@@ -11,7 +11,7 @@ import pytest
 
 from test_series import log_one_plus_series
 
-from rrcalc import rings
+from rrcalc import bundles, rings
 from rrcalc.rings import (
     INTEGERS,
     RATIONALS,
@@ -413,6 +413,38 @@ def test_weights_read_off_the_keys_match_the_weighted_degree():
             keys = [next(iter(spec.element({e: 1})._table)) for e in chosen]
             assert rings._weights(spec, keys) == [spec.weight(e) for e in chosen], spec
 
+
+
+def test_span_of_zero_and_of_each_generator():
+    specs = [
+        RingSpec(("x", "y", "z"), (3, 0, 6), RATIONALS),
+        RingSpec(("x", "y"), (4, 2), INTEGERS, (2, 3)),
+        RingSpec(("c1", "c2", "c3"), (6, 3, 2), RATIONALS, (1, 2, 3), 6),
+        _symbol_spec(),
+        RingSpec((), (), INTEGERS),
+    ]
+    for spec in specs:
+        assert rings._span(spec, {}) == (spec.total_degree + 1, 0)  # zero reaches 0
+        for g, w, d in zip(spec.generators(), spec.weights, spec.bounds):
+            if d:  # a bound-0 generator is zero
+                reach = w * d if spec.cap is None else min(spec.cap, w * d)
+                assert rings._span(spec, g._table) == (w, reach), spec
+
+
+def test_span_of_symbol_rings_reaches_the_capped_weight_of_the_used_variables():
+    rng = random.Random(2904)
+    for order in (1, 2, 3, 5, 8):
+        spec = bundles._symbol_bundle(2, [f"c{i}" for i in range(1, 7)], order).total_chern.spec
+        monomials = [e for e in spec.monomials() if any(e)]
+        for _ in range(30):
+            chosen = rng.sample(monomials, rng.randint(1, min(4, len(monomials))))
+            x = spec.element({e: rng.randint(1, 3) for e in chosen})
+            used = {i for e in chosen for i, k in enumerate(e) if k}
+            reach = min(spec.cap, sum(spec.weights[i] * spec.bounds[i] for i in used))
+            lowest = min(spec.weight(e) for e in chosen)
+            assert rings._span(spec, x._table) == (lowest, reach), (order, chosen)
+            # Every power of x lies within the reach: x^n = 0 once n * lowest > reach.
+            assert (x ** (reach // lowest + 1)).is_zero()
 
 
 def _symbol_spec() -> RingSpec:

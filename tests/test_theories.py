@@ -1,6 +1,7 @@
 """Tests for the theory models: laws, morphisms, twisting, duality."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -127,26 +128,71 @@ def reversion_calls(monkeypatch):
     return calls
 
 
+def _top_row(theory):
+    """The last row of log_T's powers a twisted theory's law has built; 0 for none."""
+    built = vars(theory).get("_built_law")
+    return 0 if built is None else len(built.rows) - 1
+
+
 def test_twisted_law_builds_once_per_larger_degree_without_reversion(
     reversion_calls, monkeypatch
 ):
-    builds = _counting(monkeypatch, theories, "_law_from_exponential")
+    exponentials = _counting(monkeypatch, TheoryModel, "_exponential")
     tw = twist_theory(CHOW, exp_deficit_series(10))
-    assert builds == []  # built lazily, on the first law
+    assert "_built_law" not in vars(tw)  # built lazily, on the first law
     x = ring_of(tw, (0,)).zero()
     assert tw.law(x, x) == x
-    assert builds == []  # a point ring reads no entry
-    tw.group_law(4)  # reads the table through degree 8
+    assert _top_row(tw) == 0 and exponentials == []  # a point ring reads no entry
+    tw.group_law(4)  # rows through 4, exp_T through degree 8
+    assert _top_row(tw) == 4
+    assert [n for _, n in exponentials] == [8]
     a, b = ring_of(tw, (2, 3)).generators()
     assert tw.law(a, b) == tw.law(b, a)
     assert tw.law(a + b, a * b) == tw.law(a * b, a + b)
-    assert [n for _, n in builds] == [8]
-    # A larger degree builds the table again, once.
+    assert _top_row(tw) <= 5
+    rows = _top_row(tw)
+    assert tw.law(a + b, a * b) == tw.law(a * b, a + b)
+    assert _top_row(tw) == rows  # a repeated call adds none
+    # A larger degree reads exp_T again, once, and adds one row.
     c, d = ring_of(tw, (5, 5)).generators()
     assert tw.law(c, d) == tw.law(d, c)
     tw.group_law(3)
-    assert [n for _, n in builds] == [8, 10]
+    assert _top_row(tw) == 5
+    assert [n for _, n in exponentials] == [8, 10]
     assert reversion_calls == []  # no build reverts
+
+
+@pytest.mark.parametrize("base", [CHOW, K_THEORY], ids=["chow", "ktheory"])
+def test_a_law_of_one_variable_each_in_a_square_reads_rows_only_through_its_side(base):
+    rng = random.Random(2902 + base.beta)
+    for k in range(1, 9):
+        theory = twist_theory(base, _seeded_twist(rng, Fraction(2, 3), 2 * k, True))
+        spec = ring_of(theory, (k, k))
+        h1, h2 = spec.generators()
+        a = h1 + rng.randint(1, 5) * h1**k
+        b = rng.randint(1, 5) * h2 - h2 ** max(k - 1, 2)
+        theory.law(a, b)
+        assert _top_row(theory) == k, k  # the triangle i + l <= 2k reads rows through 2k
+        assert vars(theory)["_built_law"].degree == 2 * k, k
+
+
+@pytest.mark.parametrize("base", [CHOW, K_THEORY], ids=["chow", "ktheory"])
+def test_a_law_one_column_past_a_group_laws_square_builds_no_row(base):
+    # After group_law(k) a law at total degree k + 2 needs F[1, k + 1] and
+    # its transpose; row 1 reads row k of D for it, so no row is built and
+    # exp_T is read no further.
+    rng = random.Random(2905 + base.beta)
+    for k in range(2, 10):
+        twist = _seeded_twist(rng, Fraction(2, 3), 2 * k + 2, True)
+        theory = twist_theory(base, twist)
+        theory.group_law(k)
+        x, y = ring_of(theory, ((k + 3) // 2, (k + 2) // 2)).generators()
+        a, b = x + 2 * y + x * y, 3 * x - y + y**2
+        value = theory.law(a, b)
+        law = vars(theory)["_built_law"]
+        assert (_top_row(theory), law.degree, law.held[1]) == (k, 2 * k, k + 1), k
+        oracle = _law_from_exponential(theory._exponential(k + 2), k + 2)
+        assert value == rings._eval_bivariate(lambda _: oracle, twist.order + 1, a, b), k
 
 
 @pytest.mark.parametrize("theory", [CHOW, K_THEORY], ids=["chow", "ktheory"])
@@ -358,13 +404,19 @@ def test_z_law_drops_a_fractional_entry_whose_product_vanishes():
     assert theory.law(a, b) == expected
 
 
+def _triangle(theory, n):
+    """The theory's law table over the triangle i + l <= n."""
+    table = theory._law_table([n - i for i in range(n + 1)])
+    return {(i, l): c for (i, l), c in table.items() if i + l <= n}
+
+
 def test_deficit_and_identity_tables_are_exact_at_every_order():
     for order in range(1, 31):
         n = order + 1  # the conjugator's order
         deficit = twist_theory(CHOW_Q, exp_deficit_series(order))
-        assert deficit._law_table(n) == {(1, 0): 1, (0, 1): 1, (1, 1): -1}
+        assert _triangle(deficit, n) == {(1, 0): 1, (0, 1): 1, (1, 1): -1}
         identity = twist_theory(CHOW_Q, TruncatedSeries([1], order))
-        assert identity._law_table(n) == {(1, 0): 1, (0, 1): 1}
+        assert _triangle(identity, n) == {(1, 0): 1, (0, 1): 1}
 
 
 @pytest.mark.parametrize("base", [CHOW, K_THEORY], ids=["chow", "ktheory"])
@@ -372,7 +424,7 @@ def test_law_tables_are_symmetric_with_unit_rows(base):
     rng = random.Random(1603 + base.beta)
     for order in range(1, 13):
         twist = _seeded_twist(rng, rng.choice((1, -1, Fraction(2, 3), 3)), order, True)
-        table = twist_theory(base, twist)._law_table(order + 1)
+        table = twist_theory(base, twist)._law_table([order + 1 - i for i in range(order + 2)])
         assert all(table.get((l, i)) == c for (i, l), c in table.items())
         assert all(i + l <= order + 1 and c != 0 for (i, l), c in table.items())
         # F(u, 0) = u: the only entry without v is u itself.
@@ -453,14 +505,105 @@ def test_law_table_matches_the_reversion_route_on_seeded_twists():
         twist = _seeded_twist(rng, constant, order, dense)
         for degree in range(order + 2):  # 0 .. 14: up to the conjugator's order
             theory = twist_theory(base, twist)
-            assert theory._law_table(degree) == _law_by_reversion(theory, degree), (twist, degree)
+            assert _triangle(theory, degree) == _law_by_reversion(theory, degree), (twist, degree)
 
 
 @pytest.mark.parametrize("base", [CHOW, K_THEORY], ids=["chow", "ktheory"])
 def test_deficit_law_table_matches_the_reversion_route_at_even_degrees(base):
     for k in range(29):
         theory = twist_theory(base, exp_deficit_series(2 * k))
-        assert theory._law_table(2 * k) == _law_by_reversion(theory, 2 * k), k
+        assert _triangle(theory, 2 * k) == _law_by_reversion(theory, 2 * k), k
+
+
+# The route `_law_table` took before the incremental table: the whole
+# triangle i + l <= n at once, from the rows of log_T's powers through n.
+def _law_from_exponential(exponential, n):
+    """The nonzero [u^i v^l] exp_T(log_T u + log_T v), i + l <= n, from exp_T alone."""
+    factorials = [factorial(k) for k in range(n + 1)]
+    # rows[i][j] = [u^i] Q_j * denominators[i], Q_j = log_T^j / j!.
+    rows, denominators = [], []
+    for i, (row, d) in enumerate(series._inverse_powers(exponential, n)):
+        rows.append([c * (factorials[i] // f) for c, f in zip(row, factorials)])
+        denominators.append(d * factorials[i])
+    hankel, denominator = series.common_denominator(list(map(mul, exponential, factorials)))
+    halves = [
+        [sum(map(mul, hankel[m : m + i + 1], rows[i])) for m in range(n - i + 1)]
+        for i in range(n // 2 + 1)
+    ]
+    table = {}
+    for i, half in enumerate(halves):
+        for l in range(i, n - i + 1):
+            total = sum(map(mul, half[: l + 1], rows[l]))
+            if total:
+                table[i, l] = table[l, i] = Fraction(
+                    total, denominator * denominators[i] * denominators[l]
+                )
+    return table
+
+
+def _law_requests(rng, theory, largest):
+    """Group laws of orders 1..12, laws at total degrees k..k+2, a group law of `largest`.
+
+    On two factors a second law takes one variable on each side.
+    """
+    requests = [(k, k) for k in range(1, 13)]
+    for k in range(1, 13):
+        for total in range(k, k + 3):
+            dims = (total,) if total == k else ((total + 1) // 2, total // 2)
+            spec = ring_of(theory, dims)
+            a, b = (
+                sum(
+                    (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * g for g in spec.generators()),
+                    spec.generator(0) ** 2 * rng.randint(1, 3),
+                )
+                for _ in range(2)
+            )
+            requests.append((a, b))
+            if len(dims) == 2:  # one variable on each side: a region that is not a triangle
+                u, v = spec.generators()
+                requests.append((u * rng.randint(1, 3), v - v**2))
+    requests.append((largest, largest))
+    return requests
+
+
+def _run_law_request(theory, request):
+    a, b = request
+    if isinstance(a, int):
+        return theory.group_law(a)
+    return theory.law(a, b)
+
+
+def test_incremental_law_table_matches_the_triangle_oracle_in_any_request_order():
+    rng = random.Random(2903)
+    for base, constant, dense in itertools.product(
+        (CHOW, K_THEORY), (1, -1, Fraction(2, 3), 3), (True, False)
+    ):
+        twist = _seeded_twist(rng, constant, 29, dense)
+        n = twist.order + 1  # the conjugator's order: a group law of order 15 reaches it
+        oracle = _law_from_exponential(twist_theory(base, twist)._exponential(n), n)
+        requests = _law_requests(rng, twist_theory(base, twist), 15)
+        for order in (requests, requests[::-1]):
+            theory = twist_theory(base, twist)
+            point = ring_of(theory, (0,)).zero()
+            assert theory.law(point, point) == point
+            law = vars(theory)["_built_law"]
+            assert (law.rows, law.held, law.degree) == ([([1], 1)], [math.inf], 0)  # no entry read
+            for request in order:
+                got = _run_law_request(theory, request)
+                if not isinstance(request[0], int):
+                    a, b = request
+                    assert got == rings._eval_bivariate(lambda _: oracle, n, a, b)
+                # The held shape is symmetric, every entry in it is the
+                # oracle's, and the table holds no other.
+                held = law.held[1:]  # rows 1, 2, ...
+                side = range(1, max(len(held), *held) + 1)
+                held += [0] * (len(side) - len(held))
+                assert all((held[p - 1] >= l) == (held[l - 1] >= p) for p in side for l in side)
+                keys = {(1, 0), (0, 1)}
+                keys.update((p, l) for p in side for l in range(held[p - 1] + 1))
+                keys.update((l, p) for p, l in list(keys))
+                assert law.table == {key: oracle[key] for key in keys if key in oracle}
+            assert _top_row(theory) == 15 and law.degree == 30
 
 
 def _chi_y_twist(y, order):
@@ -481,7 +624,7 @@ def test_chi_y_law_table_has_its_closed_form(n):
             power = (-y) ** k
             entries = {(k + 1, k): power, (k, k + 1): power, (k + 1, k + 1): (y - 1) * power}
             expected.update((key, c) for key, c in entries.items() if sum(key) <= n and c)
-        assert twist_theory(CHOW_Q, _chi_y_twist(y, n))._law_table(n) == expected, y
+        assert _triangle(twist_theory(CHOW_Q, _chi_y_twist(y, n)), n) == expected, y
 
 
 def test_twisted_law_never_evaluates_a_series(monkeypatch):
@@ -503,13 +646,15 @@ def test_twisted_law_never_evaluates_a_series(monkeypatch):
 def test_a_twisted_law_multiplies_only_past_the_first_powers(monkeypatch):
     theory = twist_theory(CHOW, exp_deficit_series(6))
     u, v = RingSpec(("u", "v"), (3, 3), RATIONALS).generators()
-    theory._law_table(6)  # built apart: the counts below are the evaluation's
+    theory._law_table([3] * 4)  # built apart: the counts below are the evaluation's
     convolve = _counting(monkeypatch, rings, "_convolve")
+    spans = _counting(monkeypatch, rings, "_span")
     weights = _counting(monkeypatch, rings, "_weights")
     value = theory.law(u, v)
     # b^1 is v's own table and the first Horner step has R = 0, so the one
-    # product is R * u; degrees are read for u, v and that R.
-    assert (len(convolve), len(weights)) == (1, 3)
+    # product is R * u; degrees are read for u and v (with their reach)
+    # and for that R.
+    assert (len(convolve), len(spans), len(weights)) == (1, 2, 1)
     assert value == u + v - u * v
 
 
