@@ -18,12 +18,11 @@ keeps its law as a coefficient table F[i, l], c1(L tensor L') = sum
 F[i, l] c1(L)^i c1(L')^l: the constant x + y - beta*xy untwisted, and
 exp_T(log_T u + log_T v) once twisted, built per theory one entry at a
 time as laws ask for them: an entry F[i, l] reads the rows i and l of
-the powers of log_T (row l - 1 for i = 1) and exp_T's head through
-t^(i + l), and one series inverse gives the row recurrence of those
-powers, so nothing is reverted.  The universal
-morphism t_i |-> 1 - e^(-h_i) identifies the multiplicative model with
-the additive one over the rationals; its graded leading term is
-exposed separately.
+the powers of log_T and exp_T's head through t^(i + l), and one series
+inverse gives the row recurrence of those powers, so nothing is
+reverted.  The universal morphism t_i |-> 1 - e^(-h_i) identifies the
+multiplicative model with the additive one over the rationals; its
+graded leading term is exposed separately.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from functools import lru_cache
 from math import factorial, inf, prod
 from operator import le, mul
 
-from .bundles import BundleClass, whitney_difference
+from .bundles import BundleClass
 from .rings import (
     INTEGERS,
     RATIONALS,
@@ -202,14 +201,12 @@ class _TwistedLaw:
     degree!/m!, is kept until the Hankel vector is read again; the factor
     takes the 1/m! of Q_m, so an entry (p, l) is one dot product of the
     half with row l of D: O(l) multiply-adds, and one Fraction if it is
-    nonzero.  Row 1 reads row l - 1 instead: D[l][m] = sum_k a_k *
-    D[l-1][m-1+k] for l >= 1, so its half folded with a, g[n] = sum_k a_k *
-    h[n+1-k], dotted with row l - 1 gives the entry, and a row-1 entry one
-    column past the rows built needs no new row.
+    nonzero.  Every row is treated alike, so the rows of D reach every
+    column held off row 0.
     """
 
-    __slots__ = ("degree", "a", "scale", "hankel", "ratios", "denominator", "halves", "folded",
-                 "rows", "held", "table")
+    __slots__ = ("degree", "a", "scale", "hankel", "ratios", "denominator", "halves", "rows",
+                 "held", "table")
 
     def __init__(self):
         self.degree = 0
@@ -257,14 +254,14 @@ class _TwistedLaw:
             top = factorial(degree)
             self.ratios = [top // factorial(m) for m in range(degree + 1)]
             self.denominator = denominator * top
-            self.halves, self.folded = {}, []  # over the old Hankel vector
+            self.halves = {}  # over the old Hankel vector
             self.degree = degree
-        rows, table, halves, a = self.rows, self.table, self.halves, self.a
-        # Rows of D through the largest q that a row other than row 1 reads,
-        # q - 1 for row 1, and at least row 1 for its half; q falls as p rises.
-        top = max(grow[0][2] - (grow[0][0] == 1), grow[1][2] if grow[1:] else 1)
+        rows, table, halves = self.rows, self.table, self.halves
+        # Rows of D through the largest column a grown row reaches: the
+        # first one's, since q falls as p rises, and no q is below its p.
+        top = grow[0][2]
         if top >= len(rows):
-            _riordan_rows(rows, a, self.scale, top)
+            _riordan_rows(rows, self.a, self.scale, top)
         for p, start, q in grow:
             numerators, d = rows[p]
             f = factorial(p)
@@ -275,14 +272,10 @@ class _TwistedLaw:
                 hankel, ratios = self.hankel, self.ratios
                 for m in range(len(half), q + 1):
                     half.append(sum(map(mul, hankel[m : m + p + 1], row)) * ratios[m])
-            vector, shift, scale = half, 0, self.denominator * d * f
-            if p == 1:  # g, over one more A-sequence scale, read against row l - 1
-                vector, shift, scale = self.folded, 1, scale * self.scale
-                for i in range(len(vector), q):
-                    vector.append(sum(map(mul, a[: i + 1], reversed(half[1 : i + 2]))))
+            scale = self.denominator * d * f
             for l in range(start, q + 1):
-                other, e = rows[l - shift]
-                total = sum(map(mul, vector, other))
+                other, e = rows[l]
+                total = sum(map(mul, half, other))
                 if total:
                     table[p, l] = table[l, p] = Fraction(total, scale * e)
         self.held = shape
@@ -409,13 +402,6 @@ def linear_immersion(
     if source[factor] != m:
         raise ValueError(f"factor {factor} of {source} is not {m}")
     return f
-
-
-def relative_tangent(theory: TheoryModel, f: Morphism) -> BundleClass:
-    """T_f = T_source - f^*T_target, in the theory's source ring of f."""
-    target = space_tangent(theory, f.target)
-    pulled = BundleClass(target.rank, pullback(theory, f, target.total_chern))
-    return whitney_difference(space_tangent(theory, f.source), pulled)
 
 
 def pullback(theory: TheoryModel, f: Morphism, a: RingElement) -> RingElement:

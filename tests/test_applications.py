@@ -8,6 +8,8 @@ from math import comb
 
 import pytest
 
+from test_theories import relative_tangent
+
 from rrcalc import (
     CHOW,
     CHOW_Q,
@@ -31,7 +33,6 @@ from rrcalc import (
     linear_immersion,
     point_projection,
     pushforward,
-    relative_tangent,
     ring_of,
     space_tangent,
     structure_sheaf_chern,

@@ -42,13 +42,13 @@ from rrcalc import (
     point_projection,
     pullback,
     pushforward,
-    relative_tangent,
     ring_of,
     space_tangent,
     tangent_class,
     todd_series,
     twist_theory,
     universal_morphism,
+    whitney_difference,
 )
 from rrcalc import acceptance, rings, series, theories
 from rrcalc.cli import MAX_DIAGONAL_DIM
@@ -177,20 +177,21 @@ def test_a_law_of_one_variable_each_in_a_square_reads_rows_only_through_its_side
 
 
 @pytest.mark.parametrize("base", [CHOW, K_THEORY], ids=["chow", "ktheory"])
-def test_a_law_one_column_past_a_group_laws_square_builds_no_row(base):
+def test_a_law_one_column_past_a_group_laws_square_builds_one_row(base):
     # After group_law(k) a law at total degree k + 2 needs F[1, k + 1] and
-    # its transpose; row 1 reads row k of D for it, so no row is built and
-    # exp_T is read no further.
+    # its transpose, row 1's half dotted with row k + 1 of D: that one row
+    # is built, and exp_T is read no further.
     rng = random.Random(2905 + base.beta)
     for k in range(2, 10):
         twist = _seeded_twist(rng, Fraction(2, 3), 2 * k + 2, True)
         theory = twist_theory(base, twist)
         theory.group_law(k)
+        assert _top_row(theory) == k, k
         x, y = ring_of(theory, ((k + 3) // 2, (k + 2) // 2)).generators()
         a, b = x + 2 * y + x * y, 3 * x - y + y**2
         value = theory.law(a, b)
         law = vars(theory)["_built_law"]
-        assert (_top_row(theory), law.degree, law.held[1]) == (k, 2 * k, k + 1), k
+        assert (_top_row(theory), law.degree, law.held[1]) == (k + 1, 2 * k, k + 1), k
         oracle = _law_from_exponential(theory._exponential(k + 2), k + 2)
         assert value == rings._eval_bivariate(lambda _: oracle, twist.order + 1, a, b), k
 
@@ -604,6 +605,29 @@ def test_incremental_law_table_matches_the_triangle_oracle_in_any_request_order(
                 keys.update((l, p) for p, l in list(keys))
                 assert law.table == {key: oracle[key] for key in keys if key in oracle}
             assert _top_row(theory) == 15 and law.degree == 30
+
+
+def test_the_law_states_rows_reach_every_held_column_and_are_the_log_powers():
+    # Group laws, laws at total degrees k..k+2 and a larger group law, in
+    # order and reversed, so requests cross degree changes both ways.
+    # After each, every held entry F[p, l], p <= l, has its row l of D,
+    # and the rows are those of the powers of log_T through the last one.
+    rng = random.Random(3003)
+    for base, dense in itertools.product((CHOW, K_THEORY), (True, False)):
+        twist = _seeded_twist(rng, rng.choice((1, -1, Fraction(2, 3), 3)), 29, dense)
+        requests = _law_requests(rng, twist_theory(base, twist), 15)
+        oracles = {0: [([1], 1)]}
+        for order in (requests, requests[::-1]):
+            theory = twist_theory(base, twist)
+            for request in order:
+                _run_law_request(theory, request)
+                law = vars(theory)["_built_law"]
+                rows, held = law.rows, law.held
+                assert all(held[p] < len(rows) for p in range(1, len(held)) if held[p] >= p)
+                n = len(rows) - 1
+                if n not in oracles:
+                    oracles[n] = series._inverse_powers(theory._exponential(n), n)
+                assert rows == oracles[n], n
 
 
 def _chi_y_twist(y, order):
@@ -1022,6 +1046,17 @@ def test_twisted_pushforward_ignores_the_descriptor_theory(base):
     else:
         y = ring_of(tw, (3,)).generator(0)
         assert immersion == y**2 - Fraction(1, 2) * y**3
+
+
+def relative_tangent(theory, f):
+    """T_f = T_source - f^*T_target, in the theory's source ring of f.
+
+    The pushforward reads its twisted correction off the Euler sequence;
+    this bundle, built from the tangents themselves, is its oracle.
+    """
+    target = space_tangent(theory, f.target)
+    pulled = BundleClass(target.rank, pullback(theory, f, target.total_chern))
+    return whitney_difference(space_tangent(theory, f.source), pulled)
 
 
 def _uncached_twisted_pushforward(theory, f, a):
